@@ -109,19 +109,18 @@ def cmtbone_appbeo(timesteps: int = 1) -> AppBEO:
         if elem_size < 1 or elements < 1:
             raise ValueError("elem_size and elements must be >= 1")
         face_bytes = elements * elem_size**2 * _BYTES_PER_DOUBLE
-        body: list[Instruction] = []
-        for _ in range(timesteps):
-            body.append(
-                Compute.of(
-                    "cmtbone_timestep",
-                    elem_size=elem_size,
-                    elements=elements,
-                    ranks=nranks,
-                )
-            )
-            body.append(Exchange(nbytes=face_bytes, neighbors=6))
-            body.append(Collective("allreduce", nbytes=8))
-        return body
+        # instructions are immutable: one object per distinct instruction
+        step: list[Instruction] = [
+            Compute.of(
+                "cmtbone_timestep",
+                elem_size=elem_size,
+                elements=elements,
+                ranks=nranks,
+            ),
+            Exchange(nbytes=face_bytes, neighbors=6),
+            Collective("allreduce", nbytes=8),
+        ]
+        return step * timesteps
 
     return AppBEO(
         name="cmtbone",

@@ -42,16 +42,23 @@ def iterative_solver_appbeo(
         n = int(params["n"])
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        # instructions are immutable: build each distinct one once
+        step = [
+            Compute.of(solve_kernel, n=n, ranks=nranks),
+            Exchange(nbytes=halo_bytes, neighbors=2),
+            Collective("allreduce", nbytes=8),  # residual norm
+        ]
+        barrier = Collective("barrier")
+        checkpoint = {
+            level: Checkpoint.of(level, scenario.kernel_for(level), n=n, ranks=nranks)
+            for level, _ in scenario.levels
+        }
         body: list[Instruction] = []
         for it in range(1, iterations + 1):
-            body.append(Compute.of(solve_kernel, n=n, ranks=nranks))
-            body.append(Exchange(nbytes=halo_bytes, neighbors=2))
-            body.append(Collective("allreduce", nbytes=8))  # residual norm
+            body.extend(step)
             for level in scenario.checkpoints_due(it):
-                body.append(Collective("barrier"))
-                body.append(
-                    Checkpoint.of(level, scenario.kernel_for(level), n=n, ranks=nranks)
-                )
+                body.append(barrier)
+                body.append(checkpoint[level])
         return body
 
     return AppBEO(

@@ -15,6 +15,7 @@ Two faces of the proxy app live here:
 
 from __future__ import annotations
 
+import functools
 import io
 from typing import Mapping, Optional
 
@@ -208,31 +209,38 @@ def lulesh_appbeo(
     if timesteps < 1:
         raise ValueError(f"timesteps must be >= 1, got {timesteps}")
 
+    # The stream never reads the rank, and instructions are immutable,
+    # so one body per (nranks, epr) is shared by every rank; AppBEO.build
+    # hands each rank its own list.
+    @functools.cache
+    def body(nranks: int, epr: int) -> tuple[Instruction, ...]:
+        step: list[Instruction] = [Compute.of("lulesh_timestep", epr=epr, ranks=nranks)]
+        if include_halo:
+            step.append(Exchange(nbytes=lulesh_halo_bytes(epr), neighbors=6))
+        step.append(Collective("allreduce", nbytes=8))  # dt reduction
+        verify = Verify.of(scenario.VERIFY_KERNEL, epr=epr, ranks=nranks)
+        barrier = Collective("barrier")  # FTI coordination
+        checkpoint = {
+            level: Checkpoint.of(level, scenario.kernel_for(level), epr=epr, ranks=nranks)
+            for level, _ in scenario.levels
+        }
+        out: list[Instruction] = []
+        for ts in range(1, timesteps + 1):
+            out.extend(step)
+            if scenario.verification_due(ts):
+                out.append(verify)
+            for level in scenario.checkpoints_due(ts):
+                out.append(barrier)
+                out.append(checkpoint[level])
+            if ts % 50 == 0:
+                out.append(Marker(f"ts{ts}"))
+        return tuple(out)
+
     def builder(rank: int, nranks: int, params: Mapping[str, float]):
         epr = int(params["epr"])
         if epr < 1:
             raise ValueError(f"epr must be >= 1, got {epr}")
-        body: list[Instruction] = []
-        halo = lulesh_halo_bytes(epr)
-        for ts in range(1, timesteps + 1):
-            body.append(Compute.of("lulesh_timestep", epr=epr, ranks=nranks))
-            if include_halo:
-                body.append(Exchange(nbytes=halo, neighbors=6))
-            body.append(Collective("allreduce", nbytes=8))  # dt reduction
-            if scenario.verification_due(ts):
-                body.append(
-                    Verify.of(scenario.VERIFY_KERNEL, epr=epr, ranks=nranks)
-                )
-            for level in scenario.checkpoints_due(ts):
-                body.append(Collective("barrier"))  # FTI coordination
-                body.append(
-                    Checkpoint.of(
-                        level, scenario.kernel_for(level), epr=epr, ranks=nranks
-                    )
-                )
-            if ts % 50 == 0:
-                body.append(Marker(f"ts{ts}"))
-        return body
+        return body(nranks, epr)
 
     return AppBEO(
         name=f"lulesh_{scenario.name}",

@@ -282,16 +282,21 @@ class CampaignWorkload:
 
     def __call__(self, rank: int, nranks: int, params) -> list:
         spec = self.spec
+        # instructions are immutable: build each distinct one once
+        work = Compute.of("work")
+        verify = Verify.of("verify")
+        checkpoint = Checkpoint.of(spec.level, "ckpt")
+        allreduce = Collective("allreduce", nbytes=spec.allreduce_bytes)
         body = []
         for ts in range(1, spec.timesteps + 1):
-            body.append(Compute.of("work"))
+            body.append(work)
             # Verification precedes any same-timestep checkpoint, so a
             # strike caught here never taints the written version.
             if spec.verify_period > 0 and ts % spec.verify_period == 0:
-                body.append(Verify.of("verify"))
+                body.append(verify)
             if ts % spec.ckpt_period == 0:
-                body.append(Checkpoint.of(spec.level, "ckpt"))
-            body.append(Collective("allreduce", nbytes=spec.allreduce_bytes))
+                body.append(checkpoint)
+            body.append(allreduce)
         return body
 
 

@@ -115,7 +115,7 @@ class Engine:
         """Cancel a pending event, keeping queue accounting exact."""
         if not event.cancelled:
             event.cancel()
-            self.queue.note_cancelled()
+            self.queue.note_cancelled(event)
 
     # -- snapshot / restore --------------------------------------------------
 

@@ -73,15 +73,20 @@ class EventQueue:
     """A deterministic priority queue of :class:`Event` objects.
 
     Wraps :mod:`heapq` with a monotonically increasing sequence counter so
-    that ties on ``(time, priority)`` are broken in insertion order.
+    that ties on ``(time, priority)`` are broken in insertion order.  Heap
+    entries are ``(time, priority, seq, event)`` tuples, so :mod:`heapq`
+    orders them by comparing floats and ints in C; ``seq`` is unique, so a
+    comparison never reaches the :class:`Event`.
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         # A plain int rather than itertools.count(): the counter is part
         # of engine snapshots, so it must pickle and resume exactly.
         self._next_seq = 0
-        self._cancelled_in_heap = 0
+        #: seqs of cancelled events still in the heap that
+        #: :meth:`note_cancelled` counted (``len`` excludes them)
+        self._counted: set[int] = set()
 
     def take_seq(self) -> int:
         """Claim the next sequence number (shared tie-break ordering)."""
@@ -90,7 +95,7 @@ class EventQueue:
         return seq
 
     def __len__(self) -> int:
-        return max(0, len(self._heap) - self._cancelled_in_heap)
+        return max(0, len(self._heap) - len(self._counted))
 
     def __bool__(self) -> bool:
         return self.peek_time() != float("inf")
@@ -103,7 +108,7 @@ class EventQueue:
         """
         if event.seq < 0:
             event.seq = self.take_seq()
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time, event.priority, event.seq, event))
         return event
 
     def pop(self) -> Event:
@@ -114,31 +119,35 @@ class EventQueue:
         IndexError
             If the queue holds no live events.
         """
-        while self._heap:
-            ev = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            ev = heapq.heappop(heap)[3]
             if ev.cancelled:
-                self._cancelled_in_heap = max(0, self._cancelled_in_heap - 1)
+                self._counted.discard(ev.seq)
                 continue
             return ev
         raise IndexError("pop from empty EventQueue")
 
     def peek_time(self) -> float:
         """Timestamp of the earliest live event, or ``inf`` if empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-            self._cancelled_in_heap = max(0, self._cancelled_in_heap - 1)
-        if not self._heap:
-            return float("inf")
-        return self._heap[0].time
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            self._counted.discard(heapq.heappop(heap)[2])
+        return heap[0][0] if heap else float("inf")
 
-    def note_cancelled(self) -> None:
-        """Account for an event cancelled while still in the heap.
+    def note_cancelled(self, event: Optional[Event] = None) -> None:
+        """Account for a cancelled event still in the heap.
 
         Cancellation via :meth:`Event.cancel` alone still works (cancelled
         events are skipped when popped); this hook merely keeps
-        :func:`len` accurate.
+        :func:`len` accurate.  Pass the cancelled *event* (as
+        :meth:`Engine.cancel <repro.des.engine.Engine.cancel>` does);
+        without one, every cancelled event in the heap is counted.
         """
-        self._cancelled_in_heap += 1
+        if event is not None:
+            self._counted.add(event.seq)
+        else:
+            self._counted = {seq for _, _, seq, ev in self._heap if ev.cancelled}
 
     def drain_until(self, horizon: float) -> list[Event]:
         """Pop and return every live event with ``time < horizon``, ordered."""

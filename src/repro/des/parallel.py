@@ -201,6 +201,14 @@ class ParallelEngine(Engine):
             event.seq = self.queue.take_seq()
         return self._queues[target].push(event)
 
+    def cancel(self, event: Event) -> None:
+        """Cancel a pending event, counting it in the queue that holds it."""
+        if not self._queues:
+            super().cancel(event)
+        elif not event.cancelled:
+            event.cancel()
+            self._queues[self._part_of(event.dst)].note_cancelled(event)
+
     # -- lookahead -----------------------------------------------------------
 
     def _compute_lookahead(self) -> float:

@@ -69,6 +69,19 @@ def test_cancel_without_note_still_skipped():
     assert q.pop() is keep
 
 
+def test_len_exact_under_mixed_cancellation():
+    q = EventQueue()
+    a, b, c, d = (q.push(Event(time=t)) for t in (1.0, 2.0, 3.0, 4.0))
+    a.cancel()  # silent: the queue never hears of it
+    c.cancel()
+    q.note_cancelled(c)
+    assert q.pop() is b  # discards the uncounted a on the way
+    assert len(q) == 1  # only d is live
+    q.note_cancelled()  # a full recount agrees
+    assert len(q) == 1
+    assert q.pop() is d and len(q) == 0
+
+
 def test_drain_until():
     q = EventQueue()
     for t in [0.1, 0.2, 0.3, 0.4]:

@@ -10,10 +10,14 @@ model, checking the two invariants recovery correctness rests on:
   events, in ``(time, priority, seq)`` order.
 
 Seeded and deterministic: a failure reproduces from its printed seed.
+A hypothesis property additionally mixes the two cancellation styles
+(``Event.cancel`` alone, and cancel plus ``note_cancelled``).
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.des import Component, Engine, Event, EventQueue
 
@@ -73,6 +77,84 @@ def test_queue_accounting_fuzz(seed):
     # pop times never went backwards (pushes were floored at the last pop)
     times = [e.time for e in popped]
     assert times == sorted(times)
+
+
+_OP = st.tuples(
+    st.sampled_from(["push", "cancel", "cancel_noted", "recount", "pop", "peek"]),
+    st.integers(0, 5),
+    st.integers(0, 2),
+)
+# a run of pushes first, so the queue is deep enough for a silently
+# cancelled entry to sit in front of live and noted-cancelled ones
+_OPS = st.builds(
+    lambda pushes, ops: [("push", t, p) for t, p in pushes] + ops,
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2)), min_size=3, max_size=12),
+    st.lists(_OP, max_size=60),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPS)
+# the drift this guards against: a silent cancel discarded at the front
+# while a noted one waits behind a live event
+@example(
+    [
+        ("push", 0, 0),
+        ("push", 1, 0),
+        ("push", 2, 0),
+        ("cancel", 0, 0),
+        ("cancel_noted", 1, 0),
+        ("pop", 0, 0),
+    ]
+)
+def test_mixed_cancellation_property(ops):
+    """Pops come out in ``(time, priority, seq)`` order and ``len`` stays
+    exact after every operation, whichever way events were cancelled.
+
+    ``len`` counts live events plus events cancelled via
+    ``Event.cancel`` alone that are still queued (the queue cannot see
+    those until it discards them); with every cancellation noted it is
+    exactly the live count.
+    """
+    q = EventQueue()
+    stored: list[Event] = []  # reference: queued entries in pop order
+    noted: set[int] = set()
+    for op, a, b in ops:
+        if op == "push":
+            stored.append(q.push(Event(time=float(a), priority=50 * b)))
+            stored.sort(key=Event.sort_key)
+        elif op in ("cancel", "cancel_noted"):
+            live = [e for e in stored if not e.cancelled]
+            if live:
+                victim = live[a % len(live)]
+                victim.cancel()
+                if op == "cancel_noted":
+                    q.note_cancelled(victim)
+                    noted.add(victim.seq)
+        elif op == "recount":
+            q.note_cancelled()
+            noted = {e.seq for e in stored if e.cancelled}
+        else:
+            # pop and peek discard every cancelled entry at the front
+            while stored and stored[0].cancelled:
+                noted.discard(stored.pop(0).seq)
+            if op == "peek":
+                assert q.peek_time() == (stored[0].time if stored else float("inf"))
+                assert bool(q) == bool(stored)
+            elif stored:
+                assert q.pop() is stored.pop(0)
+            else:
+                with pytest.raises(IndexError):
+                    q.pop()
+        live = sum(not e.cancelled for e in stored)
+        silent = sum(e.cancelled and e.seq not in noted for e in stored)
+        assert len(q) == live + silent
+    drained = []
+    while q:
+        drained.append(q.pop())
+    assert drained == [e for e in stored if not e.cancelled]
+    keys = [e.sort_key() for e in drained]
+    assert keys == sorted(keys)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

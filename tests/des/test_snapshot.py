@@ -94,7 +94,7 @@ def test_snapshot_meta_carries_clock():
     eng = Engine(seed=0)
     build_pair(eng)
     snap = eng.snapshot(meta={"note": "x"})
-    assert snap.meta["version"] == 1
+    assert snap.meta["version"] == 2
     assert snap.meta["root"] == "Engine"
     assert snap.meta["sim_time"] == 0.0
     assert snap.meta["note"] == "x"
@@ -154,6 +154,19 @@ def test_load_rejects_truncation_and_corruption(tmp_path):
         fh.write(b"hello world\n")
     with pytest.raises(SnapshotError, match="not a snapshot"):
         Snapshot.load(junk)
+
+
+def test_version_1_snapshot_is_refused(tmp_path):
+    eng = Engine(seed=0)
+    build_pair(eng)
+    snap = eng.snapshot()
+    snap.meta["version"] = 1  # the pre-tuple-heap queue layout
+    with pytest.raises(SnapshotError, match="version 1"):
+        snap.restore()
+    path = str(tmp_path / "v1.snap")
+    snap.save(path)
+    with pytest.raises(SnapshotError, match="version 1"):
+        Snapshot.load(path)
 
 
 # -- store / retention --------------------------------------------------------
