@@ -153,7 +153,9 @@ def get_context(
     Quartz and fits the three kernel models with symbolic regression —
     the Model Development phase that everything else consumes.
     """
-    key = (seed, samples_per_point, id(gp_config) if gp_config else None, allocation_nodes)
+    # GPConfig is an unhashable dataclass: key on its value, since an id()
+    # misses equal configs and can be reused by a different one once freed
+    key = (seed, samples_per_point, repr(gp_config), allocation_nodes)
     ctx = _CONTEXTS.get(key)
     if ctx is not None:
         return ctx

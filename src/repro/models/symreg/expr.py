@@ -9,7 +9,7 @@ hygiene requirement that keeps fitness evaluation total.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -24,6 +24,7 @@ class Expression:
 
     #: node count contribution used by parsimony pressure
     arity = 0
+    _size: Optional[int] = None
 
     def evaluate(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
         """Evaluate over *env* (parameter name -> array), returning finite
@@ -40,8 +41,11 @@ class Expression:
     # -- structural helpers ---------------------------------------------------
 
     def size(self) -> int:
-        """Total node count (complexity measure)."""
-        return 1 + sum(c.size() for c in self.children())
+        """Total node count (complexity measure), cached on the node:
+        trees are never mutated after construction."""
+        if self._size is None:
+            self._size = 1 + sum(c.size() for c in self.children())
+        return self._size
 
     def depth(self) -> int:
         kids = self.children()
@@ -166,6 +170,13 @@ def _p_pow(a, b):
     return np.nan_to_num(out, nan=1.0, posinf=1e30, neginf=-1e30)
 
 
+def _finite(out):
+    """*out* with nan/±inf replaced; an all-finite result is returned as is."""
+    if np.isfinite(out).all():
+        return out
+    return np.nan_to_num(out, nan=0.0, posinf=1e30, neginf=-1e30)
+
+
 UNARY_OPS = {
     "neg": np.negative,
     "sqrt": _p_sqrt,
@@ -206,7 +217,7 @@ class Unary(Expression):
     def evaluate(self, env):
         with np.errstate(all="ignore"):
             out = UNARY_OPS[self.op](self.child.evaluate(env))
-        return np.nan_to_num(out, nan=0.0, posinf=1e30, neginf=-1e30)
+        return _finite(out)
 
     def children(self):
         return (self.child,)
@@ -238,7 +249,7 @@ class Binary(Expression):
             out = BINARY_OPS[self.op](
                 self.left.evaluate(env), self.right.evaluate(env)
             )
-        return np.nan_to_num(out, nan=0.0, posinf=1e30, neginf=-1e30)
+        return _finite(out)
 
     def children(self):
         return (self.left, self.right)

@@ -99,6 +99,38 @@ class _Individual:
         return sum(g.size() for g in self.genes)
 
 
+class _Split:
+    """One data split of a fit: its variables, target and residual
+    weights, plus a memo of the gene columns already evaluated on it.
+
+    Built per :meth:`SymbolicRegressor.fit` call and dropped when it
+    returns.  Columns are keyed by ``str(gene)``, which is injective on
+    expression trees (``Const`` prints ``repr(value)``, ``Var`` names are
+    identifiers, operators print with distinct punctuation), so a gene
+    shared or re-derived across individuals is evaluated once per split.
+    """
+
+    __slots__ = ("env", "y", "w", "columns")
+
+    def __init__(self, names: tuple[str, ...], X: np.ndarray, y: np.ndarray, relative: bool):
+        self.env = {name: X[:, j] for j, name in enumerate(names)}
+        self.y = y
+        self.w = 1.0 / np.maximum(np.abs(y), 1e-30) if relative else np.ones_like(y)
+        self.columns: dict[str, np.ndarray] = {}
+
+    def design_matrix(self, genes: list[Expression], keys: tuple[str, ...]) -> np.ndarray:
+        n = self.y.shape[0]
+        cols = [np.ones(n)]
+        for g, key in zip(genes, keys):
+            col = self.columns.get(key)
+            if col is None:
+                col = np.broadcast_to(np.asarray(g.evaluate(self.env), dtype=float), (n,))
+                col = np.nan_to_num(col, nan=0.0, posinf=1e30, neginf=-1e30)
+                self.columns[key] = col
+            cols.append(col)
+        return np.column_stack(cols)
+
+
 class SymbolicRegressor:
     """Fits an :class:`Expression` to ``(X, y)`` data by genetic programming.
 
@@ -163,47 +195,40 @@ class SymbolicRegressor:
 
     # -- fitness --------------------------------------------------------------------
 
-    def _design_matrix(self, genes: list[Expression], env: dict, n: int) -> np.ndarray:
-        cols = [np.ones(n)]
-        for g in genes:
-            col = np.broadcast_to(np.asarray(g.evaluate(env), dtype=float), (n,))
-            cols.append(np.nan_to_num(col, nan=0.0, posinf=1e30, neginf=-1e30))
-        return np.column_stack(cols)
+    def _evaluate(self, ind: _Individual, split: _Split, scored: dict) -> None:
+        """Solve the gene coefficients by weighted least squares and score.
 
-    def _weights(self, y: np.ndarray) -> np.ndarray:
-        if self.config.fitness == "relative":
-            return 1.0 / np.maximum(np.abs(y), 1e-30)
-        return np.ones_like(y)
+        *scored* holds ``(coeffs, error, fitness)`` per gene-string tuple
+        for the current fit, so a gene set crossover or mutation re-derives
+        is never solved twice.
+        """
+        keys = tuple(str(g) for g in ind.genes)
+        outcome = scored.get(keys)
+        if outcome is None:
+            outcome = scored[keys] = self._solve(ind, split, keys)
+        ind.coeffs, ind.error, ind.fitness = outcome
 
-    def _evaluate(self, ind: _Individual, env: dict, y: np.ndarray) -> None:
-        """Solve the gene coefficients by weighted least squares and score."""
-        n = y.shape[0]
-        A = self._design_matrix(ind.genes, env, n)
-        w = self._weights(y)
+    def _solve(self, ind: _Individual, split: _Split, keys: tuple[str, ...]) -> tuple:
+        A = split.design_matrix(ind.genes, keys)
+        w = split.w
         Aw = A * w[:, None]
         try:
-            coeffs, *_ = np.linalg.lstsq(Aw, y * w, rcond=None)
+            coeffs, *_ = np.linalg.lstsq(Aw, split.y * w, rcond=None)
         except np.linalg.LinAlgError:  # pragma: no cover - lstsq rarely fails
-            ind.coeffs = None
-            ind.error = ind.fitness = 1e30
-            return
+            return None, 1e30, 1e30
         if not np.all(np.isfinite(coeffs)):
-            ind.coeffs = None
-            ind.error = ind.fitness = 1e30
-            return
-        resid = (A @ coeffs - y) * w
+            return None, 1e30, 1e30
+        resid = (A @ coeffs - split.y) * w
         err = float(np.sqrt(np.mean(resid**2)))
-        ind.coeffs = coeffs
-        ind.error = err if np.isfinite(err) else 1e30
-        ind.fitness = ind.error + self.config.parsimony * ind.size()
+        err = err if np.isfinite(err) else 1e30
+        return coeffs, err, err + self.config.parsimony * ind.size()
 
-    def _score_on(self, ind: _Individual, env: dict, y: np.ndarray) -> float:
+    def _score_on(self, ind: _Individual, split: _Split) -> float:
         """Error of an already-fitted individual on another split."""
         if ind.coeffs is None:
             return 1e30
-        n = y.shape[0]
-        A = self._design_matrix(ind.genes, env, n)
-        resid = (A @ ind.coeffs - y) * self._weights(y)
+        A = split.design_matrix(ind.genes, tuple(str(g) for g in ind.genes))
+        resid = (A @ ind.coeffs - split.y) * split.w
         err = float(np.sqrt(np.mean(resid**2)))
         return err if np.isfinite(err) else 1e30
 
@@ -217,13 +242,14 @@ class SymbolicRegressor:
         return int(self.rng.integers(0, expr.size()))
 
     def _clone(self, ind: _Individual) -> _Individual:
-        return _Individual([g.copy() for g in ind.genes])
+        # genes are immutable trees, so children share them with parents
+        return _Individual(list(ind.genes))
 
     def _crossover(self, a: _Individual, b: _Individual) -> _Individual:
         child = self._clone(a)
         if self.rng.random() < 0.4 and len(child.genes) >= 1:
             # High-level: replace or append a whole gene from b.
-            donor = b.genes[int(self.rng.integers(0, len(b.genes)))].copy()
+            donor = b.genes[int(self.rng.integers(0, len(b.genes)))]
             if (
                 len(child.genes) < self.config.n_genes
                 and self.rng.random() < 0.5
@@ -321,19 +347,19 @@ class SymbolicRegressor:
             raise ValueError(
                 f"X has {X.shape[1]} columns for {len(self.param_names)} parameters"
             )
-        env = {name: X[:, j] for j, name in enumerate(self.param_names)}
-        test_env = None
+        cfg = self.config
+        relative = cfg.fitness == "relative"
+        train = _Split(self.param_names, X, y, relative)
+        test = None
         if X_test is not None and y_test is not None:
             X_test = np.atleast_2d(np.asarray(X_test, dtype=float))
             y_test = np.asarray(y_test, dtype=float).ravel()
-            test_env = {
-                name: X_test[:, j] for j, name in enumerate(self.param_names)
-            }
+            test = _Split(self.param_names, X_test, y_test, relative)
+        scored: dict = {}
 
-        cfg = self.config
         pop = [self._random_individual(i) for i in range(cfg.population_size)]
         for ind in pop:
-            self._evaluate(ind, env, y)
+            self._evaluate(ind, train, scored)
 
         hof_ind: Optional[_Individual] = None
         hof_score = float("inf")
@@ -347,11 +373,7 @@ class SymbolicRegressor:
 
             # Hall of fame scored on the test split when available.
             for cand in pop[: max(cfg.elitism, 1)]:
-                score = (
-                    self._score_on(cand, test_env, y_test)
-                    if test_env is not None
-                    else cand.error
-                )
+                score = self._score_on(cand, test) if test is not None else cand.error
                 if score < hof_score:
                     hof_score = score
                     hof_ind = cand
@@ -378,7 +400,7 @@ class SymbolicRegressor:
                     child = self._const_jitter(parent)
                 else:
                     child = self._clone(parent)
-                self._evaluate(child, env, y)
+                self._evaluate(child, train, scored)
                 next_pop.append(child)
             pop = next_pop
 
@@ -388,11 +410,7 @@ class SymbolicRegressor:
         result = FitResult(
             expression=best_expr,
             train_nrmse=hof_ind.error,
-            test_nrmse=(
-                self._score_on(hof_ind, test_env, y_test)
-                if test_env is not None
-                else None
-            ),
+            test_nrmse=self._score_on(hof_ind, test) if test is not None else None,
             generations_run=gens_run,
             history=history,
         )

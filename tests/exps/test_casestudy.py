@@ -1,5 +1,7 @@
 """Case-study context: caching, simulation, measurement plumbing."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.ft import NO_FT, scenario_l1
@@ -20,6 +22,14 @@ def test_context_is_cached(ctx):
 
     same = get_context(seed=1, samples_per_point=6, gp_config=_FAST_GP)
     assert same is ctx
+
+
+def test_context_cache_keys_on_config_value(ctx):
+    from tests.exps.conftest import _FAST_GP
+
+    # an equal but distinct GPConfig is a cache hit: no refit
+    equal = get_context(seed=1, samples_per_point=6, gp_config=dataclasses.replace(_FAST_GP))
+    assert equal is ctx
 
 
 def test_context_has_fitted_models(ctx):
