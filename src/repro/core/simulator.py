@@ -66,7 +66,7 @@ level of 1 (local-only protection) and is counted in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -93,6 +93,7 @@ from repro.des.snapshot import AutoSnapshotPolicy, Snapshot, SnapshotError
 from repro.faults.context import RecoveryContext
 from repro.faults.domains import build_domains
 from repro.faults.registry import MIN_LEVEL_FOR_KIND
+from repro.models.base import ModelError
 
 
 @dataclass
@@ -243,14 +244,95 @@ class _SyncDomain:
         self._arrivals.clear()
 
 
-class _Rank(Component):
-    """One simulated MPI rank executing its AppBEO instruction stream."""
+#: opcodes of a compiled program position (see :func:`_compile_op`)
+_COLLECTIVE, _MARKER, _MODEL, _EXCHANGE = range(4)
+#: what completing a position records: nothing, a restart point, or an
+#: SDC detection point
+_NO_COMMIT, _CKPT_COMMIT, _VERIFY_COMMIT = range(3)
+#: model-noise draws taken from a rank's stream per noise-tape refill
+_TAPE_BLOCK = 64
 
-    def __init__(self, rank: int, sim: "BESSTSimulator", program: Sequence[Instruction]):
+
+def _compile_op(instr: Instruction, archbeo: ArchBEO, monte_carlo: bool) -> tuple:
+    """Resolve *instr* once into its op-table entry.
+
+    The entry is ``(opcode, instr, model, params, table, l2, kind, label,
+    level, commit)``: the bound model and frozen ``param_dict()`` of a
+    model call (``model`` is ``None`` for an unbound kernel, which then
+    raises ArchBEO's ``ModelError`` when priced), its noise table when
+    Monte Carlo is on, whether it is an L2+ checkpoint, and the timeline
+    ``kind``/``label``/``level`` the rank records for it.
+    """
+    model = params = table = None
+    l2 = False
+    commit = _NO_COMMIT
+    if isinstance(instr, Collective):
+        code, kind = _COLLECTIVE, "collective"
+    elif isinstance(instr, Marker):
+        code, kind = _MARKER, "marker"
+    elif isinstance(instr, (Compute, Checkpoint, Verify)):
+        code, kind = _MODEL, "compute"
+        model = archbeo.models.get(instr.kernel)
+        params = instr.param_dict()
+        noise_table = getattr(model, "noise_table", None)
+        if monte_carlo and noise_table is not None:
+            try:
+                table = noise_table(params)
+            except ModelError:
+                pass  # predict raises it again when the op is priced
+        if isinstance(instr, Checkpoint):
+            kind, l2, commit = "checkpoint", instr.level >= 2, _CKPT_COMMIT
+        elif isinstance(instr, Verify):
+            kind, commit = "verify", _VERIFY_COMMIT
+    elif isinstance(instr, Exchange):
+        code, kind = _EXCHANGE, "exchange"
+    else:
+        raise TypeError(
+            f"the simulator cannot execute {type(instr).__name__} instructions "
+            "(expected Compute, Checkpoint, Verify, Exchange, Collective or Marker)"
+        )
+    label = getattr(instr, "kernel", None) or getattr(
+        instr, "name", type(instr).__name__.lower()
+    )
+    level = getattr(instr, "level", 0)
+    return (code, instr, model, params, table, l2, kind, label, level, commit)
+
+
+def _tape_size(ops: list) -> int:
+    """Factor-table size shared by every model op of *ops*, else 0.
+
+    A rank may pre-draw its noise indices in blocks only when each of its
+    model calls would draw ``integers(0, n)`` with one common ``n``.
+    """
+    sizes = {
+        len(table[1]) if table is not None else 0
+        for code, _i, _m, _p, table, *_ in ops
+        if code == _MODEL
+    }
+    return sizes.pop() if len(sizes) == 1 else 0
+
+
+class _Rank(Component):
+    """One simulated MPI rank executing its compiled instruction stream."""
+
+    def __init__(
+        self,
+        rank: int,
+        sim: "BESSTSimulator",
+        ops: list[tuple],
+        tape_n: int,
+    ):
         super().__init__(f"rank{rank}")
         self.rank = rank
         self.sim = sim
-        self.program = list(program)
+        #: the rank's instruction stream, each position compiled by
+        #: :func:`_compile_op`; ranks with equal programs share the list
+        self.ops = ops
+        #: noise tape: pre-drawn factor indices, consumed from ``cursor``;
+        #: ``None`` when model calls draw through ``predict`` instead
+        self.tape_n = tape_n
+        self.tape: Optional[list] = [] if tape_n else None
+        self.cursor = _TAPE_BLOCK
         self.pc = 0
         self.collective_calls = 0
         self.done = False
@@ -282,17 +364,19 @@ class _Rank(Component):
     def advance(self) -> None:
         """Execute instructions until blocking on a collective or finishing."""
         self._pending = None
-        while self.pc < len(self.program):
-            instr = self.program[self.pc]
-            if isinstance(instr, Collective):
+        ops = self.ops
+        n = len(ops)
+        while self.pc < n:
+            code, instr, _m, _p, _t, _l2, _k, label, _lv, _c = ops[self.pc]
+            if code == _COLLECTIVE:
                 self.pc += 1
                 self.collective_calls += 1
                 self.sim.sync.arrive(self, self.collective_calls - 1, instr)
                 return
-            if isinstance(instr, Marker):
+            if code == _MARKER:
                 if self.record:
                     self.timeline.entries.append(
-                        TimelineEntry(self.now, self.now, "marker", instr.name)
+                        TimelineEntry(self.now, self.now, "marker", label)
                     )
                 self.pc += 1
                 continue
@@ -311,6 +395,9 @@ class _Rank(Component):
         Returns total duration and ``(instr, start_offset, duration)``
         records for the timeline.
         """
+        sim = self.sim
+        ops = self.ops
+        pc = self.pc
         t_off = 0.0
         batch = []
         # Straggler degradation: local (clocked) work on a degraded node
@@ -318,73 +405,72 @@ class _Rank(Component):
         # network-bound and keep their modeled time.  The factor is read
         # once per batch — an already-priced batch keeps its price even
         # if a repair lands mid-flight (batch granularity).
-        slow = self.sim._slowdown_for_rank(self.rank)
+        slow = sim._slowdown_for_rank(self.rank)
         slowed_t = 0.0
-        while self.pc < len(self.program):
-            instr = self.program[self.pc]
-            if isinstance(instr, (Compute, Checkpoint, Verify)):
-                dt = slow * self.sim.archbeo.predict(
-                    instr.kernel, instr.param_dict(), self._model_rng()
-                )
-                if (
-                    isinstance(instr, Checkpoint)
-                    and instr.level >= 2
-                    and self.sim._net_active
-                ):
+        tape, cursor = self.tape, self.cursor
+        n = len(ops)
+        while pc < n:
+            code, instr, model, params, table, l2, _k, _lb, _lv, _c = ops[pc]
+            if code == _MODEL:
+                if tape is not None:
+                    # One draw is exactly what predict() computes from
+                    # the same stream position: max(value * factor, floor).
+                    if cursor == _TAPE_BLOCK:
+                        tape = self.tape = self.rng.integers(
+                            0, self.tape_n, size=_TAPE_BLOCK
+                        ).tolist()
+                        cursor = 0
+                    value, factors, floor = table
+                    value *= factors[tape[cursor]]
+                    cursor += 1
+                    dt = slow * (floor if floor > value else value)
+                elif model is not None:
+                    dt = slow * model.predict(params, self._model_rng())
+                else:
+                    dt = slow * sim.archbeo.predict(instr.kernel, params, self._model_rng())
+                if l2 and sim._net_active:
                     # L2/partner-copy traffic crosses the (possibly
                     # degraded) fabric and pays the real network cost.
-                    dt *= self.sim._net_ckpt_factor(self.rank)
+                    dt *= sim._net_ckpt_factor(self.rank)
                 if slow != 1.0:
                     slowed_t += dt
-            elif isinstance(instr, Exchange):
-                dt = self.sim.archbeo.exchange_time(instr)
-            elif isinstance(instr, Marker):
+            elif code == _EXCHANGE:
+                dt = sim.archbeo.exchange_time(instr)
+            elif code == _MARKER:
                 dt = 0.0
             else:
                 break
             batch.append((instr, t_off, dt))
             t_off += dt
-            self.pc += 1
+            pc += 1
+        self.pc = pc
+        self.cursor = cursor
         if slowed_t > 0.0:
             # Forensic accounting only: the excess over healthy-clock time
             # for this batch's slowed instructions (dt includes the factor,
             # so excess = dt - dt/slow).
-            self.sim._note_straggler_excess(
-                self.rank, slowed_t * (1.0 - 1.0 / slow)
-            )
+            sim._note_straggler_excess(self.rank, slowed_t * (1.0 - 1.0 / slow))
         return t_off, batch
 
     def _on_batch_done(self, ev: Event) -> None:
         t_end = self.now
         batch = ev.payload
-        t_start = t_end - sum(d for _, _, d in batch)
+        # the last entry's offset + duration is the batch total, added in
+        # program order exactly as when it was priced (sum() would agree
+        # only where it does not compensate, i.e. before Python 3.12)
+        _instr, off, dt = batch[-1]
+        t_start = t_end - (off + dt)
         base = self.pc - len(batch)  # pc of the first batched instruction
-        for i, (instr, off, dt) in enumerate(batch):
+        ops = self.ops
+        for i, (_instr, off, dt) in enumerate(batch):
+            _c, _in, _m, _p, _t, _l2, kind, label, level, commit = ops[base + i]
             if self.record:
-                kind = (
-                    "compute"
-                    if isinstance(instr, Compute)
-                    else "checkpoint"
-                    if isinstance(instr, Checkpoint)
-                    else "verify"
-                    if isinstance(instr, Verify)
-                    else "exchange"
-                    if isinstance(instr, Exchange)
-                    else "marker"
-                )
-                label = getattr(instr, "kernel", None) or getattr(
-                    instr, "name", type(instr).__name__.lower()
-                )
                 self.timeline.entries.append(
                     TimelineEntry(
-                        t_start + off,
-                        t_start + off + dt,
-                        kind,
-                        label,
-                        level=getattr(instr, "level", 0),
+                        t_start + off, t_start + off + dt, kind, label, level=level
                     )
                 )
-            if isinstance(instr, Checkpoint):
+            if commit == _CKPT_COMMIT:
                 # Restart point: resume AFTER this checkpoint instruction.
                 # The recorded level is the protection actually achieved
                 # (a partitioned partner degrades an L2+ write to L1).
@@ -394,7 +480,7 @@ class _Rank(Component):
                     self.collective_calls,
                     t_start + off + dt,
                     dt,
-                    self.sim._effective_ckpt_level(self.rank, instr.level),
+                    self.sim._effective_ckpt_level(self.rank, level),
                 )
                 stale = self.ckpt_seq - 6
                 if stale > 0:
@@ -404,7 +490,7 @@ class _Rank(Component):
                     # paused every rank and the rest of the batch is
                     # discarded by the rollback — do not advance.
                     return
-            elif isinstance(instr, Verify):
+            elif commit == _VERIFY_COMMIT:
                 if self.sim._on_verify_point(self):
                     return  # detection started a recovery episode
         self.advance()
@@ -450,7 +536,8 @@ class _Rank(Component):
         if ev is None or ev.cancelled or not isinstance(ev.payload, list):
             return None
         batch = ev.payload
-        start = ev.time - sum(d for _, _, d in batch)
+        _instr, off, dt = batch[-1]
+        start = ev.time - (off + dt)
         for instr, off, dt in batch:
             if (
                 isinstance(instr, Checkpoint)
@@ -545,10 +632,26 @@ class BESSTSimulator:
         self._straggler_dom = by_name["straggler"]
         self._net_dom = by_name["network"]
 
-        program0 = self.appbeo.build(0, nranks, self.params)
+        # Compile each rank's program once into an op table.  Ops are
+        # memoized per distinct instruction *by value* (instructions are
+        # shared value objects, never keyed on identity), and a rank whose
+        # program equals the previous rank's reuses its op list and tape
+        # decision wholesale.
+        memo: dict[Instruction, tuple] = {}
+        program = ops = None
+        tape_n = 0
         for r in range(nranks):
-            program = program0 if r == 0 else self.appbeo.build(r, nranks, self.params)
-            self._ranks.append(self.engine.register(_Rank(r, self, program)))
+            built = self.appbeo.build(r, nranks, self.params)
+            if built != program:
+                program = built
+                ops = []
+                for instr in program:
+                    op = memo.get(instr)
+                    if op is None:
+                        op = memo[instr] = _compile_op(instr, archbeo, monte_carlo)
+                    ops.append(op)
+                tape_n = _tape_size(ops) if monte_carlo else 0
+            self._ranks.append(self.engine.register(_Rank(r, self, ops, tape_n)))
 
         if fault_injector is not None:
             fault_injector.attach(self)

@@ -57,7 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Current snapshot format version; bumped on incompatible changes.
 #: Version 2: event-queue heap entries became ``(time, priority, seq,
 #: event)`` tuples, so a version-1 payload cannot resume.
-SNAPSHOT_VERSION = 2
+#: Version 3: simulator ranks carry a compiled op table plus a noise tape
+#: and cursor, which a version-2 rank lacks.
+SNAPSHOT_VERSION = 3
 
 #: First line of every snapshot file.
 SNAPSHOT_MAGIC = b"repro-snapshot\n"

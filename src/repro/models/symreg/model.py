@@ -73,12 +73,10 @@ class SymbolicRegressionModel(PerformanceModel):
         # points millions of times; memoise the deterministic part.
         self._cache: dict[tuple, float] = {}
         self._sigma = float(np.sqrt(np.log1p(self.noise_rel_std**2)))
+        self._factor_list: Optional[list[float]] = None
 
-    def predict(
-        self,
-        params: Mapping[str, float],
-        rng: Optional[np.random.Generator] = None,
-    ) -> float:
+    def _value(self, params: Mapping[str, float]) -> float:
+        """The memoized deterministic prediction, before the floor."""
         try:
             key = tuple(params[name] for name in self.param_names)
         except KeyError:
@@ -93,6 +91,14 @@ class SymbolicRegressionModel(PerformanceModel):
             value = float(self.expression.evaluate(env))
             if len(self._cache) < 65536:
                 self._cache[key] = value
+        return value
+
+    def predict(
+        self,
+        params: Mapping[str, float],
+        rng: Optional[np.random.Generator] = None,
+    ) -> float:
+        value = self._value(params)
         if rng is not None:
             if self.noise_factors is not None:
                 value *= float(
@@ -103,6 +109,23 @@ class SymbolicRegressionModel(PerformanceModel):
                     rng.lognormal(mean=-0.5 * self._sigma**2, sigma=self._sigma)
                 )
         return max(value, self.floor)
+
+    def noise_table(
+        self, params: Mapping[str, float]
+    ) -> Optional[tuple[float, list[float], float]]:
+        """Pre-resolved Monte-Carlo draw at *params*, or ``None``.
+
+        Returns ``(value, factors, floor)`` when the model resamples
+        empirical ``noise_factors``: a draw with ``i = rng.integers(0,
+        len(factors))`` is then ``max(value * factors[i], floor)``, exactly
+        what :meth:`predict` returns from the same stream position.  The
+        factor list is built once per model and shared by every table.
+        """
+        if self.noise_factors is None:
+            return None
+        if self._factor_list is None:
+            self._factor_list = self.noise_factors.tolist()
+        return self._value(params), self._factor_list, self.floor
 
     # -- persistence ------------------------------------------------------------
 

@@ -9,6 +9,7 @@ from repro.core import (
     Checkpoint,
     Collective,
     Compute,
+    Exchange,
     FaultInjector,
     FaultModel,
     scenario_l1,
@@ -21,10 +22,15 @@ from repro.core.campaign import (
     build_campaign_simulator,
 )
 from repro.core.fault_injection import RecoveryPolicy
+from repro.core.workflow import build_archbeo
 from repro.des.engine import SimulationError
 from repro.des.snapshot import SnapshotStore
+from repro.des.stats import trace_digest
 from repro.models import ConstantModel
 from repro.network import FullyConnected
+from repro.testbed.quartz import make_quartz
+
+from tests.core.test_paper_golden import load_models
 
 
 class SPMDBuilder:
@@ -101,6 +107,52 @@ def test_sim_restore_twice_from_same_snapshot(tmp_path):
     sim_b = BESSTSimulator.restore(latest)
     assert result_key(sim_a.run()) == result_key(sim_b.run())
 
+
+
+class NoisyBuilder:
+    """A LULESH-shaped SPMD stream over the frozen case-study kernels."""
+
+    def __init__(self, n_steps):
+        self.n_steps = n_steps
+
+    def __call__(self, rank, nranks, params):
+        step = [
+            Compute.of("lulesh_timestep", epr=params["epr"], ranks=nranks),
+            Exchange(nbytes=4096, neighbors=6),
+            Collective("allreduce", nbytes=8),
+        ]
+        ckpt = Checkpoint.of(1, "fti_l1", epr=params["epr"], ranks=nranks)
+        body = []
+        for ts in range(1, self.n_steps + 1):
+            body.extend(step)
+            if ts % 5 == 0:
+                body.append(ckpt)
+        return body
+
+
+def make_noisy_sim(seed=7):
+    arch = build_archbeo(make_quartz(allocation_nodes=500), load_models())
+    app = AppBEO("noisy", NoisyBuilder(60))
+    sim = BESSTSimulator(app, arch, nranks=8, params={"epr": 10}, seed=seed)
+    sim.engine.trace = True
+    return sim
+
+
+def test_noisy_symreg_sim_restores_mid_run_bit_identical(tmp_path):
+    """Ranks resume mid-tape: the pickled tape and cursor carry on exactly."""
+    ref_sim = make_noisy_sim()
+    ref = ref_sim.run()
+    assert ref_sim._ranks[0].tape is not None  # the run draws from the tape
+
+    sim = make_noisy_sim()
+    sim.enable_snapshots(str(tmp_path), every_events=37)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=ref.events_fired // 2)
+    resumed = BESSTSimulator.restore(SnapshotStore(str(tmp_path)).latest())
+    assert 0 < resumed._ranks[0].cursor < 64  # captured part-way through a block
+    res = resumed.run()
+    assert res.total_time == ref.total_time
+    assert trace_digest(resumed.engine) == trace_digest(ref_sim.engine)
 
 def test_sim_snapshot_requires_picklable_builder(tmp_path):
     arch = ArchBEO("m", topology=FullyConnected(4), cores_per_node=2)

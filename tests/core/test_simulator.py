@@ -1,5 +1,7 @@
 """BE-SST simulator semantics: execution, synchronization, Monte Carlo."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,13 @@ from repro.core import (
     Collective,
     Compute,
     Exchange,
+    Instruction,
     Marker,
     MonteCarloRunner,
 )
 from repro.core.montecarlo import Distribution
-from repro.models import CallableModel, ConstantModel
+from repro.models import CallableModel, ConstantModel, ModelError
+from repro.models.symreg import SymbolicRegressionModel
 from repro.network import FullyConnected
 
 
@@ -202,3 +206,29 @@ def test_event_batching_reduces_events():
     # 1 setup event + 1 batch event (10 instructions)
     assert res.events_fired <= 3
     assert res.total_time == pytest.approx(1.0)
+
+
+@dataclass(frozen=True)
+class Sleep(Instruction):
+    """An instruction type the simulator has no execution rule for."""
+
+    seconds: float = 1.0
+
+
+def test_unknown_instruction_type_is_rejected_at_construction():
+    # it used to price as an empty zero-time batch and reschedule forever
+    app = AppBEO("sleepy", lambda rank, nranks, params: [Compute.of("k"), Sleep()])
+    with pytest.raises(TypeError, match="Sleep"):
+        BESSTSimulator(app, make_arch(), nranks=2)
+
+
+@pytest.mark.parametrize(
+    "kernel, match", [("unbound", "no model for kernel 'unbound'"), ("sr", "missing parameters")]
+)
+def test_unpriceable_model_call_raises_when_run_not_when_built(kernel, match):
+    arch = make_arch()
+    arch.bind("sr", SymbolicRegressionModel("(2.0 * epr)", ("epr",), noise_factors=[1.0, 1.5]))
+    app = AppBEO("bad", lambda rank, nranks, params: [Compute.of(kernel)])
+    sim = BESSTSimulator(app, arch, nranks=1)
+    with pytest.raises(ModelError, match=match):
+        sim.run()

@@ -94,7 +94,7 @@ def test_snapshot_meta_carries_clock():
     eng = Engine(seed=0)
     build_pair(eng)
     snap = eng.snapshot(meta={"note": "x"})
-    assert snap.meta["version"] == 2
+    assert snap.meta["version"] == 3
     assert snap.meta["root"] == "Engine"
     assert snap.meta["sim_time"] == 0.0
     assert snap.meta["note"] == "x"
@@ -168,6 +168,19 @@ def test_version_1_snapshot_is_refused(tmp_path):
     with pytest.raises(SnapshotError, match="version 1"):
         Snapshot.load(path)
 
+
+
+def test_version_2_snapshot_is_refused(tmp_path):
+    eng = Engine(seed=0)
+    build_pair(eng)
+    snap = eng.snapshot()
+    snap.meta["version"] = 2  # simulator ranks without op tables or noise tapes
+    with pytest.raises(SnapshotError, match="version 2"):
+        snap.restore()
+    path = str(tmp_path / "v2.snap")
+    snap.save(path)
+    with pytest.raises(SnapshotError, match="version 2"):
+        Snapshot.load(path)
 
 # -- store / retention --------------------------------------------------------
 
