@@ -93,21 +93,18 @@ def _parse_fault_mix(pairs: "list[str]") -> "dict[str, float]":
     return mix
 
 
-#: fault-config flat kwarg -> campaign-flag argparse dest (fields with a
-#: CLI flag; config-only fields like net_fault_split flow straight into
-#: the spec)
-_FAULT_CONFIG_DESTS = {
-    "burst_size": "burst_size",
-    "sdc_coverage": "sdc_coverage",
-    "sdc_correct_prob": "sdc_correct_prob",
-    "straggler_slowdown": "straggler_slowdown",
-    "straggler_repair_s": "straggler_repair",
-    "net_link_mtbf_s": "net_link_mtbf",
-    "net_repair_s": "net_repair_time",
-    "net_degrade_factor": "net_degrade_factor",
-    "net_loss_prob": "net_loss_prob",
-    "net_topology": "net_topology",
-}
+def _spec_knobs() -> list:
+    """CampaignSpec fields with a generated ``repro campaign`` flag."""
+    import dataclasses
+
+    from repro.core.campaign import CampaignSpec
+
+    return [f for f in dataclasses.fields(CampaignSpec) if "help" in f.metadata]
+
+
+def _knob_flag(knob) -> str:
+    """A knob's flag: its declared spelling, else ``--`` + dashed name."""
+    return knob.metadata["flag"] or "--" + knob.name.replace("_", "-")
 
 
 def _load_fault_config(path: str) -> dict:
@@ -127,31 +124,29 @@ def _load_fault_config(path: str) -> dict:
         raise SystemExit(f"campaign: bad --fault-config: {exc}")
 
 
-def _apply_fault_config(args) -> dict:
-    """Overlay the fault-config file onto *args* in place.
+def _campaign_spec_kwargs(args) -> dict:
+    """The CampaignSpec kwargs of a ``repro campaign`` invocation.
 
-    Precedence: explicit taxonomy flags > config file > built-in
-    defaults (a flag is "explicit" when its parsed value differs from
-    the parser default).  Returns the flat kwargs with no CLI flag of
-    their own (``fault_mix``, ``net_fault_split``) for the caller to
-    merge into the spec directly.
+    Precedence is a plain merge: an explicit flag beats the
+    ``--fault-config`` file, which beats the CampaignSpec default (the
+    generated knob flags are absent from *args* unless given).
     """
-    overrides = _load_fault_config(args.fault_config)
-    defaults = _build_parser().parse_args(["campaign"])
-    rest = {}
-    for key, value in overrides.items():
-        dest = _FAULT_CONFIG_DESTS.get(key)
-        if dest is None:
-            rest[key] = value
-        elif getattr(args, dest) == getattr(defaults, dest):
-            setattr(args, dest, value)
-    return rest
+    kwargs = _load_fault_config(args.fault_config) if args.fault_config else {}
+    kwargs.update((f.name, getattr(args, f.name)) for f in _spec_knobs() if f.name in args)
+    if args.fault_mix:
+        kwargs["fault_mix"] = _parse_fault_mix(args.fault_mix)
+    kwargs["timesteps"] = args.timesteps
+    return kwargs
 
 
 def _format_faults_list() -> str:
     """`repro faults list`: the registry's taxonomy, one domain per block."""
-    from repro.faults.registry import FAULT_KINDS, REGISTRY, spec_fields
+    import dataclasses
 
+    from repro.core.campaign import CampaignSpec
+    from repro.faults.registry import FAULT_KINDS, REGISTRY
+
+    defaults = {f.name: f.default for f in dataclasses.fields(CampaignSpec)}
     lines = [
         "registered fault domains (repro.faults; draw order: "
         + " ".join(FAULT_KINDS)
@@ -162,9 +157,9 @@ def _format_faults_list() -> str:
         kinds = " ".join(info.kinds) if info.kinds else "(no injectable kinds)"
         lines.append(f"{info.name:<10s} {kinds}")
         lines.append(f"    {info.summary}")
-        fields = spec_fields(info)
-        if fields:
-            knobs = ", ".join(f"{f.name}={f.default!r}" for f in fields)
+        keys = info.config_keys()
+        if keys:
+            knobs = ", ".join(f"{key}={defaults[name]!r}" for key, name in keys.items())
             lines.append(f"    config: {knobs}")
         if info.hooks:
             lines.append(f"    hooks:  {', '.join(info.hooks)}")
@@ -241,57 +236,15 @@ def _build_parser() -> argparse.ArgumentParser:
             "built-in defaults"
         ),
     )
-    camp.add_argument(
-        "--verify-period", type=int, default=0,
-        help="ABFT verification cadence in timesteps (0 disables)",
-    )
-    camp.add_argument(
-        "--verify-cost", type=float, default=0.01,
-        help="modeled cost of one ABFT verification kernel (seconds)",
-    )
-    camp.add_argument(
-        "--sdc-coverage", type=float, default=0.95,
-        help="probability an SDC strike is ABFT-detectable",
-    )
-    camp.add_argument(
-        "--sdc-correct-prob", type=float, default=0.5,
-        help="probability a detected strike is correctable in place",
-    )
-    camp.add_argument(
-        "--straggler-slowdown", type=float, default=2.0,
-        help="compute-clock slowdown factor of a degraded node",
-    )
-    camp.add_argument(
-        "--straggler-repair", type=float, default=5.0,
-        help="seconds until a degraded node is repaired (<= 0: never)",
-    )
-    camp.add_argument(
-        "--burst-size", type=int, default=2,
-        help="nodes felled per correlated failure burst",
-    )
-    camp.add_argument(
-        "--net-link-mtbf", type=float, default=0.0,
-        help="per-link MTBF in seconds; > 0 folds a network fault stream "
-        "(link/switch/netdeg) into the campaign's fault process",
-    )
-    camp.add_argument(
-        "--net-degrade-factor", type=float, default=4.0,
-        help="bandwidth de-rate factor of a degraded link (netdeg faults)",
-    )
-    camp.add_argument(
-        "--net-loss-prob", type=float, default=0.05,
-        help="message-loss probability of a degraded link",
-    )
-    camp.add_argument(
-        "--net-repair-time", type=float, default=5.0,
-        help="seconds until a failed/degraded link or switch is repaired "
-        "(<= 0: never)",
-    )
-    camp.add_argument(
-        "--net-topology", choices=("full", "torus", "fattree"),
-        default="full",
-        help="interconnect shape of the campaign workload's ranks",
-    )
+    for f in _spec_knobs():
+        camp.add_argument(
+            _knob_flag(f),
+            dest=f.name,
+            type=type(f.default),
+            choices=f.metadata["choices"],
+            default=argparse.SUPPRESS,
+            help=f.metadata["help"],
+        )
     camp.add_argument(
         "--workers", type=int, default=1, help="worker processes (1 = in-process)"
     )
@@ -741,28 +694,7 @@ def _run_campaign(args) -> tuple[str, int]:
             flight_dir=args.flight_dir,
             **snapshot_kwargs,
         )
-    cfg_rest = _apply_fault_config(args) if args.fault_config else {}
-    spec_kwargs = dict(
-        timesteps=args.timesteps,
-        verify_period=args.verify_period,
-        verify_cost_s=args.verify_cost,
-        sdc_coverage=args.sdc_coverage,
-        sdc_correct_prob=args.sdc_correct_prob,
-        straggler_slowdown=args.straggler_slowdown,
-        straggler_repair_s=args.straggler_repair,
-        burst_size=args.burst_size,
-        net_link_mtbf_s=args.net_link_mtbf,
-        net_degrade_factor=args.net_degrade_factor,
-        net_loss_prob=args.net_loss_prob,
-        net_repair_s=args.net_repair_time,
-        net_topology=args.net_topology,
-    )
-    if "net_fault_split" in cfg_rest:
-        spec_kwargs["net_fault_split"] = cfg_rest["net_fault_split"]
-    if args.fault_mix:
-        spec_kwargs["fault_mix"] = _parse_fault_mix(args.fault_mix)
-    elif "fault_mix" in cfg_rest:
-        spec_kwargs["fault_mix"] = cfg_rest["fault_mix"]
+    spec_kwargs = _campaign_spec_kwargs(args)
     try:
         report = camp.run_grid(args.mtbf, args.periods, **spec_kwargs)
     finally:

@@ -37,8 +37,8 @@ import json
 import math
 import os
 import shutil
-from dataclasses import asdict, dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,15 +61,25 @@ from repro.core.supervisor import (
     WriteAheadJournal,
 )
 from repro.des.snapshot import SnapshotStore
-from repro.faults.registry import (
-    FailStopSpec,
-    NetworkSpec,
-    SdcSpec,
-    StragglerSpec,
-    TornCheckpointSpec,
-)
+from repro.faults.registry import weight_pairs
 from repro.models import ConstantModel
 from repro.network import FullyConnected, Torus, TwoStageFatTree, link_count
+
+
+#: rank-level interconnects a campaign replica can run on
+NET_TOPOLOGIES = ("full", "torus", "fattree")
+
+
+def _knob(default, help: str, flag: Optional[str] = None, choices: Optional[tuple] = None):
+    """A fault knob: a :class:`CampaignSpec` field with a ``repro
+    campaign`` flag (``--`` + its dashed name unless *flag* spells it).
+
+    The field is the one declaration of the knob: its default, type,
+    help text and *choices* generate the CLI flag, and the domain that
+    lists it in :data:`repro.faults.registry.REGISTRY` exposes it as a
+    ``--fault-config`` key.
+    """
+    return field(default=default, metadata={"help": help, "flag": flag, "choices": choices})
 
 
 @dataclass(frozen=True)
@@ -91,30 +101,50 @@ class CampaignSpec:
     #: tuple so the spec stays frozen/hashable; pass a dict, it is
     #: normalised).  Empty = the two-kind ``software_fraction`` mix.
     fault_mix: tuple = ()
-    # -- per-domain fault knobs --------------------------------------------------------
-    # The flat fields below are DEPRECATED ALIASES: they remain the
-    # storage/serialization layer (the campaign spec hash and journal
-    # records are byte-stable functions of them), but new code should
-    # read the normalized per-domain view via :meth:`fault_domain_specs`
-    # and structured files via ``repro campaign --fault-config``.
-    verify_period: int = 0          #: ABFT verification cadence (0 = off)
-    verify_cost_s: float = 0.01     #: modeled verification-kernel cost
-    sdc_coverage: float = 0.95      #: P(SDC strike is ABFT-detectable)
-    sdc_correct_prob: float = 0.5   #: P(detected strike fixable in place)
-    straggler_slowdown: float = 2.0
-    straggler_repair_s: float = 5.0
-    burst_size: int = 2             #: nodes felled per correlated burst
-    #: per-link MTBF folded into the fault stream (0 = no implicit
-    #: network faults; the mix can still name link/switch/netdeg)
-    net_link_mtbf_s: float = 0.0
-    net_degrade_factor: float = 4.0  #: netdeg bandwidth de-rate
-    net_loss_prob: float = 0.05      #: netdeg transient-loss probability
-    net_repair_s: float = 5.0        #: link/switch repair delay
-    #: rank-level interconnect of the replica simulators: "full"
-    #: (crossbar baseline), "torus" (square 2-D) or "fattree"
-    net_topology: str = "full"
+    # -- fault knobs -------------------------------------------------------------------
+    # These flat fields are the canonical fault configuration and also its
+    # serialized form: asdict(spec) is hashed into journal keys and dumped
+    # into reports in declaration order, so adding, renaming or reordering
+    # one changes every spec key.  Each ``_knob`` generates its ``repro
+    # campaign`` flag; DomainInfo.fields in repro.faults.registry maps
+    # them to ``--fault-config`` keys.
+    verify_period: int = _knob(0, "ABFT verification cadence in timesteps (0 disables)")
+    verify_cost_s: float = _knob(
+        0.01,
+        "modeled cost of one ABFT verification kernel (seconds)",
+        flag="--verify-cost",
+    )
+    sdc_coverage: float = _knob(0.95, "probability an SDC strike is ABFT-detectable")
+    sdc_correct_prob: float = _knob(0.5, "probability a detected strike is correctable in place")
+    straggler_slowdown: float = _knob(2.0, "compute-clock slowdown factor of a degraded node")
+    straggler_repair_s: float = _knob(
+        5.0,
+        "seconds until a degraded node is repaired (<= 0: never)",
+        flag="--straggler-repair",
+    )
+    burst_size: int = _knob(2, "nodes felled per correlated failure burst")
+    net_link_mtbf_s: float = _knob(
+        0.0,
+        "per-link MTBF in seconds; > 0 folds a network fault stream "
+        "(link/switch/netdeg) into the campaign's fault process",
+        flag="--net-link-mtbf",
+    )
+    net_degrade_factor: float = _knob(
+        4.0, "bandwidth de-rate factor of a degraded link (netdeg faults)"
+    )
+    net_loss_prob: float = _knob(0.05, "message-loss probability of a degraded link")
+    net_repair_s: float = _knob(
+        5.0,
+        "seconds until a failed/degraded link or switch is repaired (<= 0: never)",
+        flag="--net-repair-time",
+    )
+    net_topology: str = _knob(
+        "full",
+        "interconnect shape of the campaign workload's ranks",
+        choices=NET_TOPOLOGIES,
+    )
     #: how the folded link rate splits across link/switch/netdeg, as
-    #: sorted (kind, weight) pairs; empty = NET_KIND_SPLIT
+    #: sorted (kind, weight) pairs; empty = NET_KIND_SPLIT (config only)
     net_fault_split: tuple = ()
 
     def __post_init__(self) -> None:
@@ -128,39 +158,13 @@ class CampaignSpec:
             raise ValueError(
                 f"verify_period must be >= 0, got {self.verify_period}"
             )
-        if isinstance(self.fault_mix, Mapping):
-            object.__setattr__(
-                self,
-                "fault_mix",
-                tuple(sorted((str(k), float(v)) for k, v in self.fault_mix.items())),
-            )
-        else:
-            object.__setattr__(
-                self,
-                "fault_mix",
-                tuple(sorted((str(k), float(v)) for k, v in self.fault_mix)),
-            )
-        if isinstance(self.net_fault_split, Mapping):
-            object.__setattr__(
-                self,
-                "net_fault_split",
-                tuple(
-                    sorted(
-                        (str(k), float(v)) for k, v in self.net_fault_split.items()
-                    )
-                ),
-            )
-        else:
-            object.__setattr__(
-                self,
-                "net_fault_split",
-                tuple(sorted((str(k), float(v)) for k, v in self.net_fault_split)),
-            )
+        object.__setattr__(self, "fault_mix", weight_pairs(self.fault_mix))
+        object.__setattr__(self, "net_fault_split", weight_pairs(self.net_fault_split))
         if self.net_link_mtbf_s < 0:
             raise ValueError(
                 f"net_link_mtbf_s must be >= 0, got {self.net_link_mtbf_s}"
             )
-        if self.net_topology not in ("full", "torus", "fattree"):
+        if self.net_topology not in NET_TOPOLOGIES:
             raise ValueError(
                 f"net_topology must be 'full', 'torus' or 'fattree', "
                 f"got {self.net_topology!r}"
@@ -190,67 +194,28 @@ class CampaignSpec:
             )
         return FullyConnected(self.nranks)
 
-    def fault_domain_specs(self) -> dict:
-        """Normalized per-domain configuration view of the flat knobs.
-
-        Returns ``{domain name -> FaultDomainSpec}`` in registry order —
-        the authoritative in-memory shape of the fault configuration
-        (the flat fields are its deprecated serialization aliases).
-        """
-        return {
-            "failstop": FailStopSpec(burst_size=self.burst_size),
-            "sdc": SdcSpec(
-                coverage=self.sdc_coverage,
-                correct_prob=self.sdc_correct_prob,
-            ),
-            "straggler": StragglerSpec(
-                slowdown=self.straggler_slowdown,
-                repair_s=self.straggler_repair_s,
-            ),
-            "network": NetworkSpec(
-                link_mtbf_s=self.net_link_mtbf_s,
-                repair_s=self.net_repair_s,
-                degrade_factor=self.net_degrade_factor,
-                loss_prob=self.net_loss_prob,
-                fault_split=self.net_fault_split,
-            ),
-            "torn": TornCheckpointSpec(),
-        }
-
     def fault_model(self) -> FaultModel:
         """The (validated) failure process of this grid point.
 
-        Built from the normalized :meth:`fault_domain_specs` so the
-        registry view is authoritative.  With ``net_link_mtbf_s`` set,
-        the per-link failure stream is superposed onto the node stream
+        The knobs :class:`FaultModel` shares by name pass straight
+        through.  With ``net_link_mtbf_s`` set, the per-link failure
+        stream is superposed onto the node stream
         (:func:`~repro.core.fault_injection.fold_link_rate`): the
         effective MTBF and kind weights shift so network faults arrive
         at ``nlinks / link_mtbf`` while the configured mix keeps its
         relative shares.
         """
-        specs = self.fault_domain_specs()
-        failstop, sdc = specs["failstop"], specs["sdc"]
-        straggler, network = specs["straggler"], specs["network"]
         model = FaultModel(
-            node_mtbf_s=self.node_mtbf_s,
-            software_fraction=self.software_fraction,
             kind_weights=dict(self.fault_mix) if self.fault_mix else None,
-            sdc_coverage=sdc.coverage,
-            sdc_correct_prob=sdc.correct_prob,
-            straggler_slowdown=straggler.slowdown,
-            straggler_repair_s=straggler.repair_s,
-            burst_size=failstop.burst_size,
-            net_degrade_factor=network.degrade_factor,
-            net_loss_prob=network.loss_prob,
-            net_repair_s=network.repair_s,
+            **{name: getattr(self, name) for name in _FAULT_MODEL_FIELDS},
         )
-        if network.link_mtbf_s > 0:
+        if self.net_link_mtbf_s > 0:
             model = fold_link_rate(
                 model,
                 nnodes=self.nnodes,
                 nlinks=link_count(self.build_topology()),
-                link_mtbf_s=network.link_mtbf_s,
-                split=network.fault_split or None,
+                link_mtbf_s=self.net_link_mtbf_s,
+                split=self.net_fault_split or None,
             )
         return model
 
@@ -267,6 +232,12 @@ class CampaignSpec:
     @property
     def system_mtbf_s(self) -> float:
         return self.node_mtbf_s / self.nnodes
+
+
+#: CampaignSpec fields that :class:`FaultModel` takes under the same name
+_FAULT_MODEL_FIELDS = tuple(
+    f.name for f in fields(FaultModel) if f.name in CampaignSpec.__dataclass_fields__
+)
 
 
 class CampaignWorkload:
@@ -376,7 +347,7 @@ _REPLICA_KEYS = frozenset(
 class ReplicaSnapshotConfig:
     """In-simulation snapshot cadence for one replica.
 
-    When present in a replica payload, the simulator checkpoints itself
+    When present in a :class:`ReplicaTask`, the simulator checkpoints itself
     into *directory* every *every_events* fired events, and a retried
     replica (after a timeout, kill or worker crash) resumes from the
     newest loadable snapshot instead of restarting from ``t=0``.  The
@@ -395,30 +366,46 @@ class ReplicaSnapshotConfig:
             )
 
 
-def _run_replica(payload: tuple) -> dict:
+@dataclass(frozen=True)
+class ReplicaTask:
+    """One replica's work order, shipped to a worker process.
+
+    ``(spec, policy, seed)`` determine the result; the optional slots
+    only change how it is computed (``snapshot``: in-simulation
+    checkpoints to resume a retried replica from), or what is observed
+    on the side (``obs``: an :class:`~repro.obs.tracing.ObsContext`
+    joining the campaign trace; ``flight_dir``: the flight-recorder
+    directory).
+    """
+
+    spec: CampaignSpec
+    policy: RecoveryPolicy
+    seed: int
+    snapshot: Optional[ReplicaSnapshotConfig] = None
+    obs: object = None
+    flight_dir: Optional[str] = None
+
+
+def _run_replica(task: ReplicaTask) -> dict:
     """One Monte-Carlo replica → a slim, picklable metrics dict.
 
     Module-level so :class:`ProcessPoolExecutor` can ship it to workers.
-    A pure function of its payload: retrying it (after a worker crash,
-    hang or injected harness fault) reproduces the original result
-    bit-identically.  With a :class:`ReplicaSnapshotConfig` the retry
-    resumes from the replica's newest in-simulation snapshot rather than
-    recomputing from scratch.  An :class:`~repro.obs.tracing.ObsContext`
-    in slot 4 joins the replica to the campaign's trace (spans + worker
-    metrics dumped into the shared obs directory); observability never
-    touches the metrics dict beyond adding ``events_fired``, so journals
-    and reports stay bit-identical with it on or off.  A flight-recorder
-    directory in slot 5 records the replica's fault/recovery timeline
-    out-of-band (live spill + atomic final dump, both named by seed);
-    the recorder is observation-only, so the metrics dict — and with it
-    journal and report bytes — is identical with it on or off.
+    A pure function of ``(task.spec, task.policy, task.seed)``: retrying
+    it (after a worker crash, hang or injected harness fault) reproduces
+    the original result bit-identically.  With a snapshot config the
+    retry resumes from the replica's newest in-simulation snapshot
+    rather than recomputing from scratch.  An obs context joins the
+    replica to the campaign's trace (spans + worker metrics dumped into
+    the shared obs directory); observability never touches the metrics
+    dict beyond adding ``events_fired``, so journals and reports stay
+    bit-identical with it on or off.  A flight-recorder directory
+    records the replica's fault/recovery timeline out-of-band (live
+    spill + atomic final dump, both named by seed); the recorder is
+    observation-only, so the metrics dict — and with it journal and
+    report bytes — is identical with it on or off.
     """
-    spec, policy, seed = payload[:3]
-    snap_cfg: Optional[ReplicaSnapshotConfig] = (
-        payload[3] if len(payload) > 3 else None
-    )
-    obs_ctx = payload[4] if len(payload) > 4 else None
-    flight_dir = payload[5] if len(payload) > 5 else None
+    spec, policy, seed = task.spec, task.policy, task.seed
+    snap_cfg, obs_ctx, flight_dir = task.snapshot, task.obs, task.flight_dir
     tracer = engine_obs = span = None
     if obs_ctx is not None:
         from repro.obs.instrument import replica_obs_begin
@@ -1064,7 +1051,7 @@ class ResilienceCampaign(MonteCarloRunner):
 
     def _replica_payload(
         self, spec: CampaignSpec, spec_key: str, seeds, i: int
-    ) -> tuple:
+    ) -> ReplicaTask:
         snap_cfg = None
         if self.sim_snapshot_dir is not None:
             snap_cfg = ReplicaSnapshotConfig(
@@ -1074,32 +1061,16 @@ class ResilienceCampaign(MonteCarloRunner):
                 # replica's (pure-function) results.
                 every_events=self.sim_snapshot_every * self._cadence_factor,
             )
-        if self.flight_dir is not None:
-            # 6-tuple: slots 3/4 may be None, slot 5 points the worker's
-            # flight recorder (spill + final dump) at the shared directory.
-            return (
-                spec,
-                self.policy,
-                seeds[i],
-                snap_cfg,
-                self.obs.worker_context(f"{spec_key}:{i}")
-                if self.obs is not None
-                else None,
-                self.flight_dir,
-            )
-        if self.obs is not None:
-            # 5-tuple: slot 3 may be None, slot 4 joins the worker to
-            # the campaign trace (parented on the task's derived span).
-            return (
-                spec,
-                self.policy,
-                seeds[i],
-                snap_cfg,
-                self.obs.worker_context(f"{spec_key}:{i}"),
-            )
-        if snap_cfg is not None:
-            return (spec, self.policy, seeds[i], snap_cfg)
-        return (spec, self.policy, seeds[i])
+        return ReplicaTask(
+            spec,
+            self.policy,
+            seeds[i],
+            snapshot=snap_cfg,
+            # joins the worker to the campaign trace, parented on the
+            # task's derived span
+            obs=None if self.obs is None else self.obs.worker_context(f"{spec_key}:{i}"),
+            flight_dir=self.flight_dir,
+        )
 
     def _get_journal(self) -> Optional[CampaignJournal]:
         if self.journal_path is not None and self._journal is None:

@@ -4,12 +4,16 @@ Every fault *kind* the simulator understands belongs to exactly one
 fault *domain* — a pluggable behaviour module under ``repro.faults``
 (see :mod:`repro.faults.domains`).  This module owns the metadata only:
 the canonical kind ordering, the kind → domain mapping, per-kind
-recovery metadata, and the :class:`FaultDomainSpec` dataclasses that
-normalize the flat campaign knobs into per-domain configuration.
+recovery metadata, and which flat
+:class:`~repro.core.campaign.CampaignSpec` fields each domain owns —
+by name, so the structured ``--fault-config`` file layout is derived
+from the spec rather than declared a second time.
 
 Deliberately import-light (stdlib only): ``repro.core.fault_injection``
 derives its public ``FAULT_KINDS`` tuple from here, so this module must
-not import anything from ``repro.core`` or the domain implementations.
+not import anything from ``repro.core`` or the domain implementations
+at import time (the config parser reads ``CampaignSpec``'s field types
+when it is called).
 
 Draw-stream stability
 ---------------------
@@ -25,7 +29,9 @@ to exactly one domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import dataclasses
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 #: canonical fault-kind order — the FaultModel draw-stream contract
 #: (append-only; see module docstring)
@@ -70,62 +76,6 @@ MIN_LEVEL_FOR_KIND: dict[str, int] = {
 }
 
 
-# -- per-domain configuration specs ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FaultDomainSpec:
-    """Base class for normalized per-domain configuration.
-
-    Campaign configuration historically exposed one flat knob per
-    parameter (``sdc_coverage``, ``net_loss_prob``, ...).  Those flat
-    fields remain the storage/serialization layer — the campaign spec
-    hash and journal records depend on them byte-for-byte — and are now
-    deprecated aliases that normalize into these spec objects via
-    :meth:`repro.core.campaign.CampaignSpec.fault_domain_specs`.
-    """
-
-
-@dataclass(frozen=True)
-class FailStopSpec(FaultDomainSpec):
-    """Fail-stop family: software crashes, node losses, correlated bursts."""
-
-    burst_size: int = 3  #: nodes felled together by one ``burst`` fault
-
-
-@dataclass(frozen=True)
-class SdcSpec(FaultDomainSpec):
-    """Silent-data-corruption family."""
-
-    coverage: float = 0.95      #: P(strike lands in detector-covered state)
-    correct_prob: float = 0.5   #: P(covered strike is ABFT-correctable)
-
-
-@dataclass(frozen=True)
-class StragglerSpec(FaultDomainSpec):
-    """Degraded-node (slow clock) family."""
-
-    slowdown: float = 2.0   #: compute-clock slowdown factor on the victim
-    repair_s: float = 30.0  #: time until the degradation is repaired
-
-
-@dataclass(frozen=True)
-class NetworkSpec(FaultDomainSpec):
-    """Network family: link/switch failures and degraded routes."""
-
-    link_mtbf_s: float = 0.0        #: per-link MTBF folded into the mix (0 = off)
-    repair_s: float = 30.0          #: time until the overlay mutation is repaired
-    degrade_factor: float = 4.0     #: bandwidth de-rate of a ``netdeg`` fault
-    loss_prob: float = 0.05         #: per-message loss probability on degraded links
-    fault_split: tuple = ()         #: ((kind, share), ...) link/switch/netdeg split
-
-
-@dataclass(frozen=True)
-class TornCheckpointSpec(FaultDomainSpec):
-    """Torn-checkpoint semantics (no knobs of its own: follows
-    ``RecoveryPolicy.l1_inplace_writes``)."""
-
-
 # -- registry entries ------------------------------------------------------------------
 
 
@@ -135,46 +85,63 @@ class DomainInfo:
 
     name: str
     kinds: tuple[str, ...]
-    spec_cls: type
     summary: str
     #: protocol hooks this domain implements beyond ``apply`` (introspection
     #: for ``repro faults list``; behaviour lives in repro.faults.domains)
     hooks: tuple[str, ...] = ()
+    #: the :class:`~repro.core.campaign.CampaignSpec` fields this domain
+    #: owns: its ``--fault-config`` section, keyed by field name minus
+    #: *prefix* (``net_repair_s`` -> ``network.repair_s``)
+    fields: tuple[str, ...] = ()
+    prefix: str = ""
+
+    def config_keys(self) -> dict[str, str]:
+        """This domain's fault-config keys -> CampaignSpec field names."""
+        return {f.removeprefix(self.prefix): f for f in self.fields}
 
 
 REGISTRY: tuple[DomainInfo, ...] = (
     DomainInfo(
         name="failstop",
         kinds=("software", "node", "burst"),
-        spec_cls=FailStopSpec,
         summary="Fail-stop crashes: coordinated rollback along the escalation ladder.",
         hooks=("on_failstop_strike",),
+        fields=("burst_size",),
     ),
     DomainInfo(
         name="sdc",
         kinds=("sdc",),
-        spec_cls=SdcSpec,
         summary="Silent data corruption: latent strikes, ABFT/validation detection.",
         hooks=("on_checkpoint_commit", "on_verify_point", "on_rewind", "reset"),
+        fields=("sdc_coverage", "sdc_correct_prob"),
+        prefix="sdc_",
     ),
     DomainInfo(
         name="straggler",
         kinds=("straggler",),
-        spec_cls=StragglerSpec,
         summary="Degraded compute clocks with token-guarded repairs.",
         hooks=("reset",),
+        fields=("straggler_slowdown", "straggler_repair_s"),
+        prefix="straggler_",
     ),
     DomainInfo(
         name="network",
         kinds=("link", "switch", "netdeg"),
-        spec_cls=NetworkSpec,
         summary="Topology health overlay: failed/degraded links, partitions.",
         hooks=("blocks_resume", "on_resume_blocked", "reset", "metrics_gauges"),
+        fields=(
+            "net_link_mtbf_s",
+            "net_degrade_factor",
+            "net_loss_prob",
+            "net_repair_s",
+            "net_topology",
+            "net_fault_split",
+        ),
+        prefix="net_",
     ),
     DomainInfo(
         name="torn",
         kinds=(),
-        spec_cls=TornCheckpointSpec,
         summary="Torn-checkpoint invalidation on fail-stop strikes.",
         hooks=("on_failstop_strike",),
     ),
@@ -220,45 +187,33 @@ def get_domain(name: str) -> DomainInfo:
                    f"{[i.name for i in REGISTRY]}")
 
 
-def spec_fields(info: DomainInfo) -> list:
-    """Dataclass fields of a domain's spec (for introspection/CLI)."""
-    return list(fields(info.spec_cls))
+def weight_pairs(weights) -> tuple:
+    """A kind -> weight mapping (or pairs) as the sorted ``(kind, weight)``
+    tuple a frozen, hashable spec stores."""
+    items = weights.items() if isinstance(weights, Mapping) else weights
+    return tuple(sorted((str(k), float(v)) for k, v in items))
 
 
 # -- structured fault-config files -----------------------------------------------------
-
-#: fault-config JSON section/field -> CampaignSpec flat kwarg.  The file
-#: layout mirrors the domain specs; the mapping keeps CampaignSpec (and
-#: with it the spec hash and journals) byte-stable.
-_CONFIG_FIELD_MAP: dict[str, dict[str, str]] = {
-    "failstop": {"burst_size": "burst_size"},
-    "sdc": {"coverage": "sdc_coverage", "correct_prob": "sdc_correct_prob"},
-    "straggler": {
-        "slowdown": "straggler_slowdown",
-        "repair_s": "straggler_repair_s",
-    },
-    "network": {
-        "link_mtbf_s": "net_link_mtbf_s",
-        "repair_s": "net_repair_s",
-        "degrade_factor": "net_degrade_factor",
-        "loss_prob": "net_loss_prob",
-        "topology": "net_topology",
-        "fault_split": "net_fault_split",
-    },
-    "torn": {},
-}
 
 
 def campaign_kwargs_from_config(cfg: dict) -> dict:
     """Map a structured fault-config document onto flat campaign kwargs.
 
-    The document has one section per domain plus an optional top-level
-    ``"mix"`` (kind -> weight).  Unknown sections or fields raise
+    The document has one section per domain (its :meth:`DomainInfo.config_keys`)
+    plus an optional top-level ``"mix"`` (kind -> weight).  Values are
+    coerced to the CampaignSpec field's type, so a JSON ``1`` and ``1.0``
+    build byte-identical spec records.  Unknown sections or fields raise
     ``ValueError`` naming the offender — a config file that silently
     ignored a typo would be worse than no file.
     """
+    # deferred: this module stays import-light (see module docstring)
+    from repro.core.campaign import CampaignSpec
+
+    defaults = {f.name: f.default for f in dataclasses.fields(CampaignSpec)}
     if not isinstance(cfg, dict):
         raise ValueError(f"fault config must be a JSON object, got {type(cfg).__name__}")
+    sections = {info.name: info.config_keys() for info in REGISTRY}
     out: dict = {}
     for section, value in cfg.items():
         if section == "mix":
@@ -269,38 +224,34 @@ def campaign_kwargs_from_config(cfg: dict) -> dict:
                 raise ValueError(f"unknown fault kinds in mix: {unknown}")
             out["fault_mix"] = {str(k): float(v) for k, v in value.items()}
             continue
-        field_map = _CONFIG_FIELD_MAP.get(section)
-        if field_map is None:
+        keys = sections.get(section)
+        if keys is None:
             raise ValueError(
                 f"unknown fault-config section {section!r}; expected one of "
-                f"{sorted([*_CONFIG_FIELD_MAP, 'mix'])}"
+                f"{sorted([*sections, 'mix'])}"
             )
         if not isinstance(value, dict):
             raise ValueError(f"fault-config section {section!r} must be an object")
         for key, raw in value.items():
-            dest = field_map.get(key)
+            dest = keys.get(key)
             if dest is None:
                 raise ValueError(
                     f"unknown field {key!r} in fault-config section {section!r}; "
-                    f"expected one of {sorted(field_map)}"
+                    f"expected one of {sorted(keys)}"
                 )
-            if dest == "net_fault_split":
+            kind = type(defaults[dest])
+            if kind is tuple:
                 if not isinstance(raw, dict):
-                    raise ValueError("network.fault_split must map kind -> share")
-                raw = tuple(sorted((str(k), float(v)) for k, v in raw.items()))
-            elif dest == "net_topology":
-                raw = str(raw)
-            else:
-                # coerce to the CampaignSpec field's numeric type so a
-                # JSON "1" and "1.0" build byte-identical spec records
-                try:
-                    raw = int(raw) if dest == "burst_size" else float(raw)
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        f"fault-config {section}.{key} must be a number, "
-                        f"got {raw!r}"
-                    ) from None
-            out[dest] = raw
+                    raise ValueError(f"{section}.{key} must map kind -> share")
+                out[dest] = weight_pairs(raw)
+                continue
+            try:
+                out[dest] = kind(raw)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"fault-config {section}.{key} must be {kind.__name__}, "
+                    f"got {raw!r}"
+                ) from None
     return out
 
 

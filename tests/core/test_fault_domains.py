@@ -10,12 +10,14 @@ wiring-attr rejection), :class:`NodeRangeError` surfacing through the
 the ``repro faults list`` / ``--fault-config`` CLI layer.
 """
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.cli import _build_parser, _campaign_spec_kwargs, _knob_flag, _spec_knobs
 from repro.core import FaultDetail, RecoveryPolicy
-from repro.core.campaign import CampaignSpec, build_campaign_simulator
+from repro.core.campaign import CampaignSpec, build_campaign_simulator, campaign_spec_key
 from repro.core.fault_injection import FAULT_KINDS, FaultModel
 from repro.faults.registry import (
     KIND_TO_DOMAIN,
@@ -166,8 +168,32 @@ def test_node_range_error_is_both_index_and_value_error():
 
 # -- structured fault-config parsing -----------------------------------------------
 
+POLICY = RecoveryPolicy()
 
-def test_campaign_kwargs_from_config_round_trip():
+#: one non-default value per registry-listed CampaignSpec field, spelled
+#: as JSON would (whole numbers for float fields exercise the coercion)
+_ONE_FIELD_VALUES = {
+    "burst_size": 3,
+    "sdc_coverage": 0.8,
+    "sdc_correct_prob": 0.25,
+    "straggler_slowdown": 3,
+    "straggler_repair_s": 10,
+    "net_link_mtbf_s": 50,
+    "net_degrade_factor": 2,
+    "net_loss_prob": 0.1,
+    "net_repair_s": 1,
+    "net_topology": "torus",
+    "net_fault_split": {"link": 0.7, "switch": 0.2, "netdeg": 0.1},
+}
+
+
+def _spec_from_cli(argv):
+    """The first grid point ``repro campaign <argv>`` would run."""
+    args = _build_parser().parse_args(["campaign", *argv])
+    return CampaignSpec(node_mtbf_s=8.0, ckpt_period=5, **_campaign_spec_kwargs(args))
+
+
+def test_campaign_kwargs_from_config_round_trip(tmp_path):
     cfg = {
         "mix": {"software": 0.5, "sdc": 0.5},
         "sdc": {"coverage": 0.8, "correct_prob": 0.25},
@@ -195,6 +221,27 @@ def test_campaign_kwargs_from_config_round_trip():
     spec = CampaignSpec(node_mtbf_s=10.0, ckpt_period=5, **kwargs)
     assert spec.sdc_correct_prob == 0.25
 
+    # every registry-listed field: a one-field config file builds the same
+    # spec (and spec key) as the equivalent flag, values coerced alike
+    assert set(_ONE_FIELD_VALUES) == {f for info in REGISTRY for f in info.fields}
+    knobs = {f.name: f for f in _spec_knobs()}
+    baseline = _spec_from_cli([])
+    for info in REGISTRY:
+        for key, name in info.config_keys().items():
+            raw = _ONE_FIELD_VALUES[name]
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({info.name: {key: raw}}))
+            from_file = _spec_from_cli(["--fault-config", str(path)])
+            if name in knobs:
+                other = _spec_from_cli([_knob_flag(knobs[name]), str(raw)])
+            else:  # config-only (kind -> share) fields have no flag
+                other = dataclasses.replace(baseline, **{name: raw})
+            assert from_file == other != baseline, name
+            assert campaign_spec_key(from_file, POLICY) == campaign_spec_key(other, POLICY), name
+    # "repair_s": 1 and --net-repair-time 1 both build the float 1.0
+    spec = _spec_from_cli(["--net-repair-time", "1"])
+    assert spec.net_repair_s == 1.0 and isinstance(spec.net_repair_s, float)
+
 
 def test_fault_config_rejects_unknown_section_and_field():
     with pytest.raises(ValueError, match="unknown fault-config section"):
@@ -217,38 +264,38 @@ def test_faults_list_cli(capsys):
         assert info.name in out
     for kind in FAULT_KINDS:
         assert kind in out
+    # every config key, with the default a --fault-config campaign uses
+    defaults = {f.name: f.default for f in dataclasses.fields(CampaignSpec)}
+    blocks = {block.split()[0]: block for block in out.split("\n\n")[1:]}
+    for info in REGISTRY:
+        for key, name in info.config_keys().items():
+            assert f"{key}={defaults[name]!r}" in blocks[info.name], (info.name, key)
 
 
 def test_fault_config_flag_precedence(tmp_path):
-    from repro.cli import _apply_fault_config, _build_parser
-
     cfg = tmp_path / "faults.json"
-    cfg.write_text(
-        json.dumps({"sdc": {"coverage": 0.8}, "network": {"repair_s": 7.0}})
-    )
+    cfg.write_text(json.dumps({"sdc": {"coverage": 0.8}, "network": {"repair_s": 7.0}}))
+
+    def spec_kwargs(*argv):
+        return _campaign_spec_kwargs(_build_parser().parse_args(["campaign", *argv]))
+
     # file overrides defaults
-    args = _build_parser().parse_args(
-        ["campaign", "--fault-config", str(cfg)]
-    )
-    _apply_fault_config(args)
-    assert args.sdc_coverage == 0.8
-    assert args.net_repair_time == 7.0
+    kwargs = spec_kwargs("--fault-config", str(cfg))
+    assert kwargs["sdc_coverage"] == 0.8
+    assert kwargs["net_repair_s"] == 7.0
     # explicit flag beats the file
-    args = _build_parser().parse_args(
-        ["campaign", "--fault-config", str(cfg), "--sdc-coverage", "0.99"]
-    )
-    _apply_fault_config(args)
-    assert args.sdc_coverage == 0.99
-    assert args.net_repair_time == 7.0
+    kwargs = spec_kwargs("--fault-config", str(cfg), "--sdc-coverage", "0.99")
+    assert kwargs["sdc_coverage"] == 0.99
+    assert kwargs["net_repair_s"] == 7.0
+    # ... also when the flag restates the built-in default
+    kwargs = spec_kwargs("--sdc-coverage", "0.95", "--fault-config", str(cfg))
+    assert kwargs["sdc_coverage"] == 0.95
+    assert kwargs["net_repair_s"] == 7.0
 
 
 def test_fault_config_bad_file_exits(tmp_path):
-    from repro.cli import _apply_fault_config, _build_parser
-
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    args = _build_parser().parse_args(
-        ["campaign", "--fault-config", str(bad)]
-    )
+    args = _build_parser().parse_args(["campaign", "--fault-config", str(bad)])
     with pytest.raises(SystemExit, match="not valid JSON"):
-        _apply_fault_config(args)
+        _campaign_spec_kwargs(args)
