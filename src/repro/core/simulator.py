@@ -4,9 +4,14 @@ Each simulated MPI rank is a DES component; executing an instruction polls
 the ArchBEO for its predicted runtime and advances that rank's clock.
 Collectives rendezvous all ranks and release them together at
 ``max(arrival) + modeled cost``.  Consecutive non-synchronizing
-instructions are batched into a single event, which keeps a
-1000-rank × 200-timestep case-study simulation at a few hundred thousand
-events.
+instructions are priced as one batch that completes as one event, which
+keeps a 1000-rank × 200-timestep case-study simulation at a few hundred
+thousand events.  In a fault-free run that is not traced, journaled or
+auto-snapshotted, a batch that nothing else can precede completes in
+place instead of through the event queue (barrier-to-barrier
+execution, DESIGN §19); it still counts as one event
+and takes its queue seq, so results, event counts and the seqs of later
+events are those of the queued run.
 
 Fault injection (Cases 2 and 4 of Fig. 4) plugs in through
 :meth:`BESSTSimulator.run`'s ``fault_injector``: node failures trigger a
@@ -66,6 +71,7 @@ level of 1 (local-only protection) and is counted in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, Optional
 
 import numpy as np
@@ -142,6 +148,7 @@ class SimulationResult:
     finish_times: list[float]
     timelines: dict[int, RankTimeline]
     nranks: int
+    #: events the run fired, batches completed in place included
     events_fired: int
     checkpoint_time: float          #: rank-0 time spent inside Checkpoint instructions
     compute_time: float             #: rank-0 time in Compute instructions
@@ -207,34 +214,42 @@ class _SyncDomain:
 
     def __init__(self, sim: "BESSTSimulator") -> None:
         self.sim = sim
-        self._arrivals: dict[int, list] = {}   # call index -> [(comp, t_arrive)]
+        self._arrivals: dict[int, list] = {}   # call index -> [(t, seq, comp)]
         self._pending_releases: list[Event] = []
 
-    def arrive(self, comp: "_Rank", call_index: int, instr: Collective) -> None:
+    def arrive(
+        self, comp: "_Rank", call_index: int, instr: Collective, t: float, seq: int
+    ) -> None:
+        """*comp* reached its *call_index*-th collective at *t*, while
+        completing the event (or in-place completion) of queue seq *seq*."""
         lst = self._arrivals.setdefault(call_index, [])
-        lst.append((comp, comp.now))
+        lst.append((t, seq, comp))
         if len(lst) == self.sim.nranks:
-            t_max = max(t for _, t in lst)
+            # Arrival order is firing order, (time, seq): ranks that
+            # completed in place arrived early in wall-clock terms, and
+            # the stable sort puts them back (arrivals inside one event
+            # share its key and keep their call order).
+            lst.sort(key=_arrival_key)
+            t_max = lst[-1][0]
             cost = self.sim.archbeo.collective_time(instr, self.sim.nranks)
-            release_at = max(t_max + cost, comp.now)
+            release_at = t_max + cost
             # One release event frees every rank (equivalent to per-rank
             # events at the same timestamp, at 1/nranks the event count).
-            ev = Event(
-                time=release_at,
-                handler=self._release_all,
-                payload=(list(lst), instr, cost),
-            )
+            ev = Event(time=release_at, handler=self._release_all, payload=(lst, instr, cost))
             self._pending_releases.append(self.sim.engine.schedule_event(ev))
             del self._arrivals[call_index]
 
     def _release_all(self, ev: Event) -> None:
+        # a fired release no longer needs cancelling on rollback
+        self._pending_releases.remove(ev)
         lst, instr, cost = ev.payload
-        for c, _t in lst:
+        now = ev.time
+        for _t, _seq, c in lst:
             if c.record:
                 c.timeline.entries.append(
-                    TimelineEntry(c.now - cost, c.now, "collective", instr.op)
+                    TimelineEntry(now - cost, now, "collective", instr.op)
                 )
-            c.advance()
+            c.advance(ev.seq)
 
     def reset(self, engine: Engine) -> None:
         """Drop all rendezvous state (used on fault rollback)."""
@@ -251,6 +266,8 @@ _COLLECTIVE, _MARKER, _MODEL, _EXCHANGE = range(4)
 _NO_COMMIT, _CKPT_COMMIT, _VERIFY_COMMIT = range(3)
 #: model-noise draws taken from a rank's stream per noise-tape refill
 _TAPE_BLOCK = 64
+#: sort key of a collective arrival: the firing order of its event
+_arrival_key = itemgetter(0, 1)
 
 
 def _compile_op(instr: Instruction, archbeo: ArchBEO, monte_carlo: bool) -> tuple:
@@ -354,40 +371,62 @@ class _Rank(Component):
     def setup(self) -> None:
         self._pending = self.schedule(0.0, self._on_resume)
 
-    def _on_resume(self, _ev: Event) -> None:
+    def _on_resume(self, ev: Event) -> None:
         # Bound-method resume handler (not a lambda) so the whole rank —
         # pending events included — stays snapshot-picklable.
-        self.advance()
+        self.advance(ev.seq)
 
     # -- execution ---------------------------------------------------------------
 
-    def advance(self) -> None:
-        """Execute instructions until blocking on a collective or finishing."""
+    def advance(self, seq: int) -> None:
+        """Execute instructions until blocking on a collective or finishing.
+
+        The rank runs from the current time, inside the event of queue
+        seq *seq*.  Each run of local instructions is priced as one
+        batch, then either scheduled as a completion event (the rank
+        resumes in :meth:`_on_batch_done`) or, when the engine allows it
+        and the simulator is fault-free, completed in place: committed at
+        its end time under the seq the event would have taken, and the
+        loop goes on from there (barrier-to-barrier execution).
+        """
         self._pending = None
+        sim = self.sim
+        engine = self.engine
         ops = self.ops
         n = len(ops)
+        now = engine.now
         while self.pc < n:
             code, instr, _m, _p, _t, _l2, _k, label, _lv, _c = ops[self.pc]
             if code == _COLLECTIVE:
                 self.pc += 1
                 self.collective_calls += 1
-                self.sim.sync.arrive(self, self.collective_calls - 1, instr)
+                sim.sync.arrive(self, self.collective_calls - 1, instr, now, seq)
                 return
             if code == _MARKER:
                 if self.record:
-                    self.timeline.entries.append(
-                        TimelineEntry(self.now, self.now, "marker", label)
-                    )
+                    self.timeline.entries.append(TimelineEntry(now, now, "marker", label))
                 self.pc += 1
                 continue
-            # Batch consecutive non-synchronizing instructions.
+            # Batch consecutive non-synchronizing instructions.  A batch
+            # runs up to the next collective, so the rank schedules at most
+            # one, and only while ``now`` is still the engine clock.
             dt, batch = self._price_batch()
-            self._pending = self.schedule(dt, self._on_batch_done, payload=batch)
-            return
+            t_end = now + dt
+            # Only a fault can act on a rank between two of its events.
+            if sim.fault_injector is None and not sim._ctx.faults_injected:
+                seq = engine.complete_in_place(t_end)
+            else:
+                seq = -1
+            if seq < 0:
+                self._pending = self.schedule(dt, self._on_batch_done, payload=batch)
+                return
+            now = t_end
+            if self._commit(batch, now):
+                return
         if not self.done:
             self.done = True
-            self.finish_time = self.now
-            self.sim._rank_finished(self)
+            self.finish_time = now
+            sim._rank_finished(self)
 
     def _price_batch(self) -> tuple[float, list]:
         """Price the run of local instructions starting at ``pc``.
@@ -453,8 +492,17 @@ class _Rank(Component):
         return t_off, batch
 
     def _on_batch_done(self, ev: Event) -> None:
-        t_end = self.now
-        batch = ev.payload
+        # the firing event is no longer pending: a recovery the commit
+        # starts must not cancel it
+        self._pending = None
+        if not self._commit(ev.payload, self.now):
+            self.advance(ev.seq)
+
+    def _commit(self, batch: list, t_end: float) -> bool:
+        """Complete *batch*, the instructions just before ``pc``, at
+        *t_end*: timeline entries, restart points and the domains'
+        checkpoint/verify hooks.  Returns True when a hook started a
+        recovery episode, which discards the rest of the batch."""
         # the last entry's offset + duration is the batch total, added in
         # program order exactly as when it was priced (sum() would agree
         # only where it does not compensate, i.e. before Python 3.12)
@@ -489,11 +537,11 @@ class _Rank(Component):
                     # Write-validation caught latent SDC: recovery has
                     # paused every rank and the rest of the batch is
                     # discarded by the rollback — do not advance.
-                    return
+                    return True
             elif commit == _VERIFY_COMMIT:
                 if self.sim._on_verify_point(self):
-                    return  # detection started a recovery episode
-        self.advance()
+                    return True  # detection started a recovery episode
+        return False
 
     def _model_rng(self) -> Optional[np.random.Generator]:
         return self.rng if self.sim.monte_carlo else None

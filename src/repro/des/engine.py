@@ -73,6 +73,15 @@ class Engine:
         #: optional flight recorder (see :meth:`attach_flightrec`); not
         #: snapshotted — it may hold an open spill file handle
         self._flightrec = None
+        #: set by :meth:`run` for :meth:`complete_in_place`: the latest
+        #: time a completion may fire in place (``-inf`` outside a run or
+        #: while tracing, journaling or autosnapshotting) and the
+        #: ``events_fired`` count the ``max_events`` budget allows
+        self._in_place_end = float("-inf")
+        self._fire_limit = float("inf")
+        #: latest in-place completion time; :meth:`run` moves the clock
+        #: up to it on return
+        self._in_place_now = float("-inf")
 
     # -- construction -------------------------------------------------------
 
@@ -116,6 +125,36 @@ class Engine:
         if not event.cancelled:
             event.cancel()
             self.queue.note_cancelled(event)
+
+    def complete_in_place(self, time: float) -> int:
+        """Fire a completion at *time* without the queue, if nothing can tell.
+
+        A caller about to schedule an event at *time* that only it can
+        observe asks here first.  The completion may fire in place when
+        the next live event is strictly later than *time*, *time* is
+        within the running :meth:`run`'s horizon and ``max_events``
+        budget, and neither ``trace``, a journal nor an autosnapshot
+        policy, which each act on every popped event, was attached when
+        the run started.  It then counts in :attr:`events_fired` (an
+        attached flight recorder ticks, at the engine clock, when the
+        count lands on its stride) and consumes the queue seq the event
+        would have taken, so every later event keeps its seq.
+
+        Returns that seq, or -1 when the caller must schedule the event.
+        """
+        if (
+            time > self._in_place_end
+            or self.events_fired >= self._fire_limit
+            or self.queue.peek_time() <= time
+        ):
+            return -1
+        self.events_fired += 1
+        if time > self._in_place_now:
+            self._in_place_now = time
+        flight = self._flightrec
+        if flight is not None and not (self.events_fired & (flight.tick_stride - 1)):
+            flight.tick(self.now, self.events_fired)
+        return self.queue.take_seq()
 
     # -- snapshot / restore --------------------------------------------------
 
@@ -239,7 +278,16 @@ class Engine:
                     comp.setup()
                 self._setup_done = True
             end = float("inf") if until is None else float(until)
-            fired_this_run = 0
+            # The budget is an events_fired count, so it covers in-place
+            # completions (see complete_in_place) as well as popped events.
+            self._fire_limit = fire_limit = (
+                float("inf") if max_events is None else self.events_fired + max_events
+            )
+            # Observers that act on every popped event turn in-place
+            # completion off; obs and the flight recorder sample, and
+            # cope with it (see the loop and complete_in_place).
+            per_event = self.trace or self._journal is not None or self._autosnap is not None
+            self._in_place_end = float("-inf") if per_event else end
             # Hoist the cadence test to one int compare per event: the
             # policy precomputes the events_fired count at which it next
             # needs a look (snapshotting at ~100k events/s rates must not
@@ -266,22 +314,28 @@ class Engine:
                     t = self.queue.peek_time()
                     if t == float("inf") or t > end:
                         break
-                    if max_events is not None and fired_this_run >= max_events:
+                    if self.events_fired >= fire_limit:
                         # Checked before the pop so events_fired counts only
-                        # events whose handlers actually ran.
+                        # events whose handlers actually ran; in-place
+                        # completions stop at the same limit.
                         raise SimulationError(
                             f"exceeded max_events={max_events} (possible livelock)"
                         )
                     ev = self.queue.pop()
                     self.now = ev.time
-                    self.events_fired += 1
-                    fired_this_run += 1
+                    # the popped event's own count, for the samplers: its
+                    # handler may complete batches in place
+                    self.events_fired = fired = self.events_fired + 1
                     if self.trace:
                         self.trace_log.append(
                             (ev.time, ev.priority, ev.seq, ev.src, ev.dst)
                         )
                     if self._journal is not None:
                         self._journal.record(ev)
+                    # ticked before the handler, whose in-place completions
+                    # tick their own counts (see complete_in_place)
+                    if flight is not None and not (fired & flight_mask):
+                        flight.tick(self.now, fired)
                     if ev.handler is not None:
                         if obs_busy is None:
                             ev.handler(ev)
@@ -292,12 +346,8 @@ class Engine:
                             obs_busy[_dst] = (
                                 obs_busy.get(_dst, 0.0) + perf_counter() - _t0
                             )
-                            if not (self.events_fired & 63):
+                            if not (fired & 63):
                                 obs.queue_depth.observe(len(self.queue))
-                    if flight is not None and not (
-                        self.events_fired & flight_mask
-                    ):
-                        flight.tick(self.now, self.events_fired)
                     if self.events_fired >= autosnap_check:
                         try:
                             autosnap.maybe_take(self)
@@ -312,6 +362,11 @@ class Engine:
                             continue
                         autosnap_check = autosnap.next_check_at(self.events_fired)
             finally:
+                self._in_place_end = float("-inf")
+                # the clock ends where the queued run's would: at the
+                # latest completion, popped or in place
+                if self._in_place_now > self.now:
+                    self.now = self._in_place_now
                 # Metrics survive even a loop abort (e.g. the max_events
                 # livelock guard): partial runs are exactly when numbers
                 # matter most.

@@ -59,7 +59,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: event)`` tuples, so a version-1 payload cannot resume.
 #: Version 3: simulator ranks carry a compiled op table plus a noise tape
 #: and cursor, which a version-2 rank lacks.
-SNAPSHOT_VERSION = 3
+#: Version 4: collective arrivals are ``(time, seq, rank)`` entries, which
+#: a version-3 simulator stored as ``(rank, time)``.
+SNAPSHOT_VERSION = 4
 
 #: First line of every snapshot file.
 SNAPSHOT_MAGIC = b"repro-snapshot\n"

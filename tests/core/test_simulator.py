@@ -16,7 +16,9 @@ from repro.core import (
     Instruction,
     Marker,
     MonteCarloRunner,
+    RecoveryPolicy,
 )
+from repro.core.fault_injection import FaultDetail
 from repro.core.montecarlo import Distribution
 from repro.models import CallableModel, ConstantModel, ModelError
 from repro.models.symreg import SymbolicRegressionModel
@@ -206,6 +208,33 @@ def test_event_batching_reduces_events():
     # 1 setup event + 1 batch event (10 instructions)
     assert res.events_fired <= 3
     assert res.total_time == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind", ["software", "sdc"])
+def test_queue_len_counts_live_events_after_rollback(kind):
+    """A rollback cancels only pending events: fired releases are not kept
+    for it, and the batch event being handled when SDC write validation
+    starts a recovery is no longer pending, so ``len(queue)`` stays exact."""
+
+    def builder(rank, nranks, params):
+        step = [Compute.of("k"), Collective("allreduce", nbytes=8)]
+        return (step * 5 + [Checkpoint.of(1, "ckpt")]) * 8
+
+    sim = BESSTSimulator(
+        AppBEO("app", builder),
+        make_arch(),
+        nranks=4,
+        monte_carlo=False,
+        recovery_policy=RecoveryPolicy(ckpt_validate_prob=1.0),
+    )
+    detail = FaultDetail(covered=True, correctable=False) if kind == "sdc" else None
+    sim.engine.schedule(1.25, lambda ev: sim.inject_fault(0, kind=kind, detail=detail))
+    sim.engine.run(until=2.5)
+    assert sim.rollbacks == 1
+    assert len(sim.sync._pending_releases) <= 1
+    queue = sim.engine.queue
+    assert len(queue) == sum(not entry[3].cancelled for entry in queue._heap)
+    assert sim.run().completed
 
 
 @dataclass(frozen=True)
