@@ -11,7 +11,13 @@ auto-snapshotted, a batch that nothing else can precede completes in
 place instead of through the event queue (barrier-to-barrier
 execution, DESIGN §19); it still counts as one event
 and takes its queue seq, so results, event counts and the seqs of later
-events are those of the queued run.
+events are those of the queued run.  When every rank runs one shared op
+list, a collective release goes further (cohort segments, DESIGN §19):
+it prices the next segment of all ranks at once with NumPy, completes
+their batches in place as one block of events and schedules the next
+release, and the ranks' program counters and noise tapes stay in the
+shared :class:`_Cohort` until a fallback, a fault or the end of the run
+hands them back.
 
 Fault injection (Cases 2 and 4 of Fig. 4) plugs in through
 :meth:`BESSTSimulator.run`'s ``fault_injector``: node failures trigger a
@@ -210,12 +216,18 @@ class _SyncDomain:
     Collectives are totally ordered per rank (SPMD), so a single counter
     per call-index suffices: the n-th collective executed by each rank is
     matched with every other rank's n-th collective.
+
+    A release's payload is ``(order, instr, cost)``: the released ranks in
+    firing order, as the sorted ``(time, seq, rank)`` arrivals, or, for a
+    release a cohort scheduled, as an array of rank indices.
     """
 
     def __init__(self, sim: "BESSTSimulator") -> None:
         self.sim = sim
         self._arrivals: dict[int, list] = {}   # call index -> [(t, seq, comp)]
         self._pending_releases: list[Event] = []
+        #: the ranks' shared execution state while they run as one cohort
+        self._cohort: Optional[_Cohort] = None
 
     def arrive(
         self, comp: "_Rank", call_index: int, instr: Collective, t: float, seq: int
@@ -230,26 +242,145 @@ class _SyncDomain:
             # the stable sort puts them back (arrivals inside one event
             # share its key and keep their call order).
             lst.sort(key=_arrival_key)
-            t_max = lst[-1][0]
-            cost = self.sim.archbeo.collective_time(instr, self.sim.nranks)
-            release_at = t_max + cost
-            # One release event frees every rank (equivalent to per-rank
-            # events at the same timestamp, at 1/nranks the event count).
-            ev = Event(time=release_at, handler=self._release_all, payload=(lst, instr, cost))
-            self._pending_releases.append(self.sim.engine.schedule_event(ev))
+            self._schedule_release(lst[-1][0], lst, instr)
             del self._arrivals[call_index]
+
+    def _schedule_release(self, t_max: float, order, instr: Collective) -> None:
+        cost = self.sim.archbeo.collective_time(instr, self.sim.nranks)
+        # One release event frees every rank (equivalent to per-rank
+        # events at the same timestamp, at 1/nranks the event count).
+        ev = Event(time=t_max + cost, handler=self._release_all, payload=(order, instr, cost))
+        self._pending_releases.append(self.sim.engine.schedule_event(ev))
 
     def _release_all(self, ev: Event) -> None:
         # a fired release no longer needs cancelling on rollback
         self._pending_releases.remove(ev)
-        lst, instr, cost = ev.payload
+        order, instr, cost = ev.payload
+        # a simulator with a fault injector never forms a cohort
+        if self.sim.fault_injector is None:
+            if self._release_cohort(ev, order, instr, cost):
+                return
+            self.dissolve()
+            if isinstance(order, np.ndarray):
+                ranks = self.sim._ranks
+                # once sorted, only the arrivals' order matters
+                order = [(None, None, ranks[i]) for i in order.tolist()]
         now = ev.time
-        for _t, _seq, c in lst:
+        for _t, _seq, c in order:
             if c.record:
                 c.timeline.entries.append(
                     TimelineEntry(now - cost, now, "collective", instr.op)
                 )
             c.advance(ev.seq)
+
+    def _release_cohort(self, ev: Event, order, instr: Collective, cost: float) -> bool:
+        """Release every rank as one cohort: price the next segment of all
+        ranks in NumPy, complete their batches in place as one block of
+        events and arrive at the next collective, or finish.  Returns
+        False when the segment cannot be taken byte-identically that way
+        (DESIGN §19, cohort segments); nothing a rank or the engine shows
+        has changed then, and the caller runs the per-rank loop."""
+        sim = self.sim
+        engine = sim.engine
+        ranks = sim._ranks
+        n = len(ranks)
+        now = ev.time
+        if (
+            sim._ctx.faults_injected
+            or sim._straggler_dom.node_slowdown
+            or sim._net_dom.active
+            or not engine.in_place_ok(now, n)
+        ):
+            return False
+        co = self._cohort
+        if co is None:
+            co = _Cohort.form(sim)
+            if co is None:
+                return False
+            self._cohort = co
+        if not isinstance(order, np.ndarray):
+            order = np.array([c.rank for _t, _seq, c in order])
+        seg = co.segment(co.pc)
+        if seg is None:
+            return False
+        markers, lo, hi, steps, draws, commits = seg
+        if hi > lo:
+            co.draw_ahead(draws, ranks)
+            offs, dts, t_off = co.price(steps, sim.archbeo, n)
+            t_end = now + t_off
+            # The ranks arrive at (t_end, seq), seqs ascending in release
+            # order, so a stable sort of t_end in release order is the
+            # queued run's (time, seq) sort.
+            t_rel = t_end[order]
+            perm = np.argsort(t_rel, kind="stable")
+            t_max = float(t_rel[perm[-1]])
+            if engine.complete_in_place(t_max, n) < 0:
+                return False
+            co.cursor += draws
+            t_start = t_end - t_off
+            order_next = order[perm]
+        else:  # no batch: every rank arrives, or finishes, right away
+            t_end, t_max, order_next = np.full(n, now), now, order
+        for c in co.recorded:
+            entries = c.timeline.entries
+            entries.append(TimelineEntry(now - cost, now, "collective", instr.op))
+            for label in markers:
+                entries.append(TimelineEntry(now, now, "marker", label))
+            if hi > lo:
+                r = c.rank
+                ts = float(t_start[r])
+                for (_c, _i, _m, _p, _t, _l2, kind, label, level, _cm), off, dt in zip(
+                    co.ops[lo:hi], offs, dts
+                ):
+                    off, dt = float(off[r]), float(dt[r])
+                    entries.append(
+                        TimelineEntry(ts + off, ts + off + dt, kind, label, level=level)
+                    )
+        if commits:
+            self._commit_cohort(co, order, lo, commits, t_start, offs, dts)
+        co.pc = hi
+        if hi == len(co.ops):
+            finish = t_end.tolist()
+            for r in order.tolist():
+                c = ranks[r]
+                c.done = True
+                c.finish_time = finish[r]
+                sim._rank_finished(c)
+            self.dissolve()
+            return True
+        co.pc += 1
+        co.calls += 1
+        self._schedule_release(t_max, order_next, co.ops[hi][1])
+        return True
+
+    def _commit_cohort(self, co, order, lo, commits, t_start, offs, dts) -> None:
+        """Restart points and verify points of a cohort batch, per rank in
+        release order, as :meth:`_Rank._commit` records them."""
+        ranks = self.sim._ranks
+        points = [
+            (j, commit, level, ((t_start + offs[j]) + dts[j]).tolist(), dts[j].tolist())
+            for j, commit, level in commits
+        ]
+        for r in order.tolist():
+            c = ranks[r]
+            for j, commit, level, t_done, cost in points:
+                if c._commit_point(commit, lo + j + 1, co.calls, t_done[r], cost[r], level):
+                    # only an injected fault can start a recovery
+                    raise RuntimeError("a fault-free cohort commit started a recovery")
+
+    def dissolve(self) -> None:
+        """Hand the cohort's shared state back to the ranks (a no-op
+        without a cohort); the ranks then run on their own."""
+        co = self._cohort
+        if co is None:
+            return
+        self._cohort = None
+        for r, c in enumerate(self.sim._ranks):
+            c.pc = co.pc
+            c.collective_calls = co.calls
+            if co.tapes is not None:
+                c.tape = co.tapes[r].tolist()
+                c.cursor = co.cursor
 
     def reset(self, engine: Engine) -> None:
         """Drop all rendezvous state (used on fault rollback)."""
@@ -259,8 +390,153 @@ class _SyncDomain:
         self._arrivals.clear()
 
 
-#: opcodes of a compiled program position (see :func:`_compile_op`)
-_COLLECTIVE, _MARKER, _MODEL, _EXCHANGE = range(4)
+class _Cohort:
+    """Execution state shared by the ranks of a fault-free simulator that
+    all run one compiled op list (cohort segments, DESIGN §19).
+
+    Released together from the same collective, such ranks are at the
+    same program position, have passed the same collectives and drawn
+    the same number of noise indices.  While a cohort exists, it holds
+    that state instead of the ranks: ``pc``, ``calls`` (collectives
+    passed) and the tape ``cursor`` are common to every rank, and
+    ``tapes`` is an ``nranks × width`` int32 array of each rank's
+    pre-drawn factor indices (``None`` when Monte Carlo is off).
+    :meth:`_SyncDomain.dissolve` writes it back.
+    """
+
+    def __init__(self, sim: "BESSTSimulator") -> None:
+        r0 = sim._ranks[0]
+        self.ops = r0.ops
+        self.pc = r0.pc
+        self.calls = r0.collective_calls
+        self.cursor = r0.cursor
+        self.tape_n = r0.tape_n
+        self.tapes = None
+        if r0.tape is not None:
+            self.tapes = np.empty((sim.nranks, len(r0.tape)), dtype=np.int32)
+            for r, c in enumerate(sim._ranks):
+                # the cohort holds the tapes now (dissolve gives them back)
+                self.tapes[r], c.tape = c.tape, []
+        self.recorded = [c for c in sim._ranks if c.record]
+        #: compiled segments by the ids of their ops (see :meth:`segment`),
+        #: and factor tables as arrays by the id of their list
+        self._segments: dict[tuple, Optional[tuple]] = {}
+        self._factors: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def form(cls, sim: "BESSTSimulator") -> Optional["_Cohort"]:
+        """The cohort of *sim*'s ranks, released together from one
+        collective, or ``None`` unless they share one op list and price
+        their model calls from noise tapes or without noise."""
+        ranks = sim._ranks
+        ops = ranks[0].ops
+        if ranks[0].tape is None and sim.monte_carlo:
+            return None  # model calls draw through predict, rank by rank
+        if any(c.ops is not ops for c in ranks):
+            return None
+        return cls(sim)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        # keyed by object ids: rebuilt on demand after a restore
+        state["_segments"], state["_factors"] = {}, {}
+        return state
+
+    def segment(self, pc: int) -> Optional[tuple]:
+        """The segment from *pc* to the next collective or the end:
+        ``(markers, lo, hi, steps, draws, commits)``.  ``markers`` are the
+        labels of leading markers; ops ``lo:hi`` are the batch, priced by
+        ``steps`` with ``draws`` noise draws; ``commits`` lists the batch's
+        restart and verify points as ``(offset, commit, level)``.  ``None``
+        when a model call is unbound, so that the rank path raises.  Each
+        distinct run of ops (every timestep of an unrolled loop is one)
+        is compiled once."""
+        ops = self.ops
+        end = pc
+        while end < len(ops) and ops[end][0] != _COLLECTIVE:
+            end += 1
+        span = ops[pc:end]
+        key = tuple(map(id, span))  # ops live as long as the cohort
+        if key not in self._segments:
+            self._segments[key] = self._compile(span)
+        body = self._segments[key]
+        if body is None:
+            return None
+        markers, steps, draws, commits = body
+        return markers, pc + len(markers), end, steps, draws, commits
+
+    def _compile(self, span: list) -> Optional[tuple]:
+        """``(markers, steps, draws, commits)`` of a run of local ops."""
+        markers = []
+        while span and span[0][0] == _MARKER:
+            markers.append(span.pop(0)[7])
+        steps, commits, draws = [], [], 0
+        for j, (code, instr, model, params, table, _l2, _k, _lb, level, commit) in enumerate(span):
+            if code == _MODEL:
+                if self.tapes is not None:
+                    value, factors, floor = table
+                    arr = self._factors.get(id(factors))
+                    if arr is None:
+                        arr = self._factors[id(factors)] = np.array(factors, dtype=np.float64)
+                    steps.append((_DRAW, value, arr, floor))
+                    draws += 1
+                elif model is None:
+                    return None
+                else:
+                    steps.append((_MODEL, model, params, None))
+            else:
+                steps.append((code, instr, None, None))
+            if commit != _NO_COMMIT:
+                commits.append((j, commit, level))
+        return markers, steps, draws, commits
+
+    def draw_ahead(self, draws: int, ranks: list) -> None:
+        """Make sure every rank's tape holds *draws* unread indices,
+        refilling each rank from its own stream in blocks, as
+        :meth:`_Rank._price_batch` does."""
+        tapes = self.tapes
+        if tapes is None:
+            return
+        unread = tapes.shape[1] - self.cursor
+        if unread >= draws:
+            return
+        blocks = -(-(draws - unread) // _TAPE_BLOCK)
+        new = np.empty((len(ranks), unread + blocks * _TAPE_BLOCK), dtype=tapes.dtype)
+        new[:, :unread] = tapes[:, self.cursor:]
+        for r, c in enumerate(ranks):
+            rng = c.rng
+            for at in range(unread, new.shape[1], _TAPE_BLOCK):
+                new[r, at:at + _TAPE_BLOCK] = rng.integers(0, self.tape_n, size=_TAPE_BLOCK)
+        self.tapes = new
+        self.cursor = 0
+
+    def price(self, steps: list, archbeo: ArchBEO, n: int) -> tuple[list, list, np.ndarray]:
+        """Offsets and durations of each batch op, and the batch total,
+        per rank: the scalar path's IEEE operations, elementwise."""
+        tapes, cursor = self.tapes, self.cursor
+        t_off = np.zeros(n)
+        offs, dts = [], []
+        for code, a, b, floor in steps:
+            if code == _DRAW:
+                # max(value * factor, floor), as predict() draws it
+                value = a * b[tapes[:, cursor]]
+                cursor += 1
+                dt = np.where(floor > value, floor, value)
+            elif code == _MODEL:
+                dt = np.full(n, a.predict(b, None))
+            elif code == _EXCHANGE:
+                dt = np.full(n, archbeo.exchange_time(a))
+            else:
+                dt = np.zeros(n)
+            offs.append(t_off)
+            dts.append(dt)
+            t_off = t_off + dt
+        return offs, dts, t_off
+
+
+#: opcodes of a compiled program position (see :func:`_compile_op`), and
+#: a cohort's pricing step for a model call drawn from the noise tape
+_COLLECTIVE, _MARKER, _MODEL, _EXCHANGE, _DRAW = range(5)
 #: what completing a position records: nothing, a restart point, or an
 #: SDC detection point
 _NO_COMMIT, _CKPT_COMMIT, _VERIFY_COMMIT = range(3)
@@ -345,11 +621,14 @@ class _Rank(Component):
         #: the rank's instruction stream, each position compiled by
         #: :func:`_compile_op`; ranks with equal programs share the list
         self.ops = ops
-        #: noise tape: pre-drawn factor indices, consumed from ``cursor``;
-        #: ``None`` when model calls draw through ``predict`` instead
+        #: noise tape: pre-drawn factor indices, consumed from ``cursor``
+        #: and refilled a block at a time once read to the end; ``None``
+        #: when model calls draw through ``predict`` instead
         self.tape_n = tape_n
         self.tape: Optional[list] = [] if tape_n else None
-        self.cursor = _TAPE_BLOCK
+        self.cursor = 0
+        #: ``pc``, ``collective_calls``, ``tape`` and ``cursor`` are held
+        #: by the simulator's cohort while one exists (see ``_Cohort``)
         self.pc = 0
         self.collective_calls = 0
         self.done = False
@@ -454,7 +733,7 @@ class _Rank(Component):
                 if tape is not None:
                     # One draw is exactly what predict() computes from
                     # the same stream position: max(value * factor, floor).
-                    if cursor == _TAPE_BLOCK:
+                    if cursor == len(tape):
                         tape = self.tape = self.rng.integers(
                             0, self.tape_n, size=_TAPE_BLOCK
                         ).tolist()
@@ -518,30 +797,38 @@ class _Rank(Component):
                         t_start + off, t_start + off + dt, kind, label, level=level
                     )
                 )
-            if commit == _CKPT_COMMIT:
-                # Restart point: resume AFTER this checkpoint instruction.
-                # The recorded level is the protection actually achieved
-                # (a partitioned partner degrades an L2+ write to L1).
-                self.ckpt_seq += 1
-                self.restart_history[self.ckpt_seq] = (
-                    base + i + 1,
-                    self.collective_calls,
-                    t_start + off + dt,
-                    dt,
-                    self.sim._effective_ckpt_level(self.rank, level),
-                )
-                stale = self.ckpt_seq - 6
-                if stale > 0:
-                    self.restart_history.pop(stale, None)
-                if self.sim._on_checkpoint_commit(self, self.ckpt_seq):
-                    # Write-validation caught latent SDC: recovery has
-                    # paused every rank and the rest of the batch is
-                    # discarded by the rollback — do not advance.
-                    return True
-            elif commit == _VERIFY_COMMIT:
-                if self.sim._on_verify_point(self):
-                    return True  # detection started a recovery episode
+            if commit != _NO_COMMIT and self._commit_point(
+                commit, base + i + 1, self.collective_calls, t_start + off + dt, dt, level
+            ):
+                # Detection (a verify, or write validation) caught latent
+                # SDC: recovery has paused every rank and the rest of the
+                # batch is discarded by the rollback — do not advance.
+                return True
         return False
+
+    def _commit_point(
+        self, commit: int, pc: int, calls: int, t_done: float, cost: float, level: int
+    ) -> bool:
+        """Commit the checkpoint or verify instruction just before *pc*,
+        done at *t_done* after *calls* collectives.  Returns True when a
+        domain hook started a recovery episode."""
+        if commit == _VERIFY_COMMIT:
+            return self.sim._on_verify_point(self)
+        # Restart point: resume AFTER this checkpoint instruction.  The
+        # recorded level is the protection actually achieved (a
+        # partitioned partner degrades an L2+ write to L1).
+        self.ckpt_seq += 1
+        self.restart_history[self.ckpt_seq] = (
+            pc,
+            calls,
+            t_done,
+            cost,
+            self.sim._effective_ckpt_level(self.rank, level),
+        )
+        stale = self.ckpt_seq - 6
+        if stale > 0:
+            self.restart_history.pop(stale, None)
+        return self.sim._on_checkpoint_commit(self, self.ckpt_seq)
 
     def _model_rng(self) -> Optional[np.random.Generator]:
         return self.rng if self.sim.monte_carlo else None
@@ -819,6 +1106,8 @@ class BESSTSimulator:
         is the injector's log record, updated in place with detection
         outcomes.
         """
+        # the fault handlers read and reset the ranks' own state
+        self.sync.dissolve()
         ctx = self._ctx
         if ctx.aborted or self._finished == self.nranks:
             return

@@ -126,35 +126,46 @@ class Engine:
             event.cancel()
             self.queue.note_cancelled(event)
 
-    def complete_in_place(self, time: float) -> int:
-        """Fire a completion at *time* without the queue, if nothing can tell.
-
-        A caller about to schedule an event at *time* that only it can
-        observe asks here first.  The completion may fire in place when
-        the next live event is strictly later than *time*, *time* is
-        within the running :meth:`run`'s horizon and ``max_events``
-        budget, and neither ``trace``, a journal nor an autosnapshot
-        policy, which each act on every popped event, was attached when
-        the run started.  It then counts in :attr:`events_fired` (an
-        attached flight recorder ticks, at the engine clock, when the
-        count lands on its stride) and consumes the queue seq the event
-        would have taken, so every later event keeps its seq.
-
-        Returns that seq, or -1 when the caller must schedule the event.
-        """
-        if (
+    def in_place_ok(self, time: float, k: int = 1) -> bool:
+        """Whether *k* completions, the latest at *time*, may fire in place
+        (see :meth:`complete_in_place`)."""
+        return not (
             time > self._in_place_end
-            or self.events_fired >= self._fire_limit
+            or self.events_fired + k > self._fire_limit
             or self.queue.peek_time() <= time
-        ):
+        )
+
+    def complete_in_place(self, time: float, k: int = 1) -> int:
+        """Fire *k* completions, the latest at *time*, without the queue, if
+        nothing can tell.
+
+        A caller about to schedule *k* events no later than *time* that
+        only it can observe asks here first.  They may fire in place when
+        the next live event is strictly later than *time*, *time* is
+        within the running :meth:`run`'s horizon, the ``max_events``
+        budget has room for all *k*, and neither ``trace``, a journal nor
+        an autosnapshot policy, which each act on every popped event, was
+        attached when the run started.  They then count in
+        :attr:`events_fired` (an attached flight recorder ticks, at the
+        engine clock and in count order, at every count on its stride)
+        and consume the *k* queue seqs the events would have taken, so
+        every later event keeps its seq.
+
+        Returns the first of those seqs, or -1 when the caller must
+        schedule the events.
+        """
+        if not self.in_place_ok(time, k):
             return -1
-        self.events_fired += 1
+        fired = self.events_fired
+        self.events_fired = fired + k
         if time > self._in_place_now:
             self._in_place_now = time
         flight = self._flightrec
-        if flight is not None and not (self.events_fired & (flight.tick_stride - 1)):
-            flight.tick(self.now, self.events_fired)
-        return self.queue.take_seq()
+        if flight is not None:
+            stride = flight.tick_stride
+            for count in range(fired + stride - fired % stride, fired + k + 1, stride):
+                flight.tick(self.now, count)
+        return self.queue.take_seq(k)
 
     # -- snapshot / restore --------------------------------------------------
 

@@ -88,10 +88,11 @@ class EventQueue:
         #: :meth:`note_cancelled` counted (``len`` excludes them)
         self._counted: set[int] = set()
 
-    def take_seq(self) -> int:
-        """Claim the next sequence number (shared tie-break ordering)."""
+    def take_seq(self, k: int = 1) -> int:
+        """Claim the next *k* sequence numbers (shared tie-break ordering)
+        and return the first."""
         seq = self._next_seq
-        self._next_seq += 1
+        self._next_seq += k
         return seq
 
     def __len__(self) -> int:

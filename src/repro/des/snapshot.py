@@ -61,7 +61,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: and cursor, which a version-2 rank lacks.
 #: Version 4: collective arrivals are ``(time, seq, rank)`` entries, which
 #: a version-3 simulator stored as ``(rank, time)``.
-SNAPSHOT_VERSION = 4
+#: Version 5: a rank's noise tape refills once read to its end (a
+#: version-4 rank starts with cursor 64 on an empty tape), and the sync
+#: domain may hold a cohort whose releases carry rank-index arrays.
+SNAPSHOT_VERSION = 5
 
 #: First line of every snapshot file.
 SNAPSHOT_MAGIC = b"repro-snapshot\n"

@@ -263,7 +263,10 @@ class RecoveryContext:
         One rung per protection tier (L1, L2, L4) at or above the fault
         kind's minimum level, each resolved to the newest globally
         committed, non-torn checkpoint covered by that tier; the final
-        rung is always 0 — full restart from the input deck.  With
+        rung is always 0 — full restart from the input deck.  A seq that
+        ranks committed after different numbers of collectives is no
+        consistent cut (resumed there, they would wait at different
+        collectives forever) and is skipped.  With
         *avoid_corrupt* (detected-SDC recovery) checkpoints written while
         the corruption was latent are skipped too: recovery reaches past
         the newest checkpoint to the last *clean* version.
@@ -278,7 +281,7 @@ class RecoveryContext:
             if avoid_corrupt and seq in self.corrupt_seqs:
                 continue
             entries = [r.restart_history.get(seq) for r in ranks]
-            if any(e is None for e in entries):
+            if any(e is None or e[1] != entries[0][1] for e in entries):
                 continue
             committed.append((seq, entries[0][4]))
         ladder: list[int] = []

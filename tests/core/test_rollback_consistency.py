@@ -118,3 +118,30 @@ def test_fault_after_completion_is_ignored():
     res = sim.run(max_events=200_000)
     assert res.rollbacks == 0
     assert res.total_time == pytest.approx(clean_total)
+
+
+def test_rollback_skips_checkpoints_taken_at_different_collectives():
+    """A checkpoint seq that ranks committed after different numbers of
+    collectives is no consistent cut: resuming there would leave the
+    ranks waiting at different collectives.  Recovery skips it and
+    restarts from the beginning instead of deadlocking."""
+    from tests.core.test_noise_tape import make_arch as make_const_arch
+
+    c, ar, ck = Compute.of("work"), Collective("allreduce", nbytes=8), Checkpoint.of(1, "ckpt")
+    programs = [[c, ar, c, ar, ck, c, ar, c], [c, ck, ar, c, ar, c, ar, c]]
+
+    def make():
+        arch = make_const_arch({"work": ConstantModel(1.0), "ckpt": ConstantModel(0.25)})
+        app = AppBEO("skewed", lambda rank, nranks, params: programs[rank])
+        return BESSTSimulator(app, arch, nranks=2, monte_carlo=False)
+
+    clean = make().run()
+    sim = make()
+    inject_at(sim, 0.9 * clean.total_time)
+    res = sim.run()
+    assert res.rollbacks == 1
+    assert len(res.finish_times) == 2
+    # each rank committed its one checkpoint (seq 1) at its own collective count
+    assert [r.restart_history[1][1] for r in sim._ranks] == [2, 0]
+    # the rework charged is the whole run up to the fault: a restart from 0
+    assert res.waste_rework == pytest.approx(0.9 * clean.total_time)

@@ -94,7 +94,7 @@ def test_snapshot_meta_carries_clock():
     eng = Engine(seed=0)
     build_pair(eng)
     snap = eng.snapshot(meta={"note": "x"})
-    assert snap.meta["version"] == 4
+    assert snap.meta["version"] == 5
     assert snap.meta["root"] == "Engine"
     assert snap.meta["sim_time"] == 0.0
     assert snap.meta["note"] == "x"

@@ -16,10 +16,14 @@ def test_constants_match_table2():
 
 
 def test_context_is_cached(ctx):
-    again = get_context(seed=1, samples_per_point=6, gp_config=None)
-    assert again is not ctx  # different options -> different context
     from tests.exps.conftest import _FAST_GP
 
+    # different options -> different context (a second fast config, so the
+    # miss fits in a fraction of a second)
+    again = get_context(
+        seed=1, samples_per_point=6, gp_config=dataclasses.replace(_FAST_GP, generations=2)
+    )
+    assert again is not ctx
     same = get_context(seed=1, samples_per_point=6, gp_config=_FAST_GP)
     assert same is ctx
 
